@@ -15,9 +15,12 @@
 //     (1.25x headroom absorbs CI timer noise; the arena build is
 //     typically several times faster).
 //
-// It also replays a corpus slice under both reachability strategies and
-// requires byte-identical race descriptions - the memory optimization is
-// only admissible if detection output is bit-for-bit unchanged.
+// It also runs a corpus slice with the adaptive read state and with every
+// read vector forced inflated, requiring byte-identical race descriptions,
+// and checks on each site's final graph that the clock index agrees with
+// the memoized-DFS oracle on every ordered operation pair - the memory
+// optimizations are only admissible if detection output and reachability
+// are bit-for-bit unchanged.
 //
 // Usage: hb_scaling [--quick] [report.json]
 //
@@ -265,15 +268,13 @@ struct DetectorRow {
   uint64_t ForcedBytes = 0;
   uint64_t Inflations = 0;
   uint64_t Deflations = 0;
-  double EpochReadRate = 0;
 };
 
 /// Streams a web-shaped access workload (a small location pool, 70%
 /// reads, ops in id order) through the detector twice - adaptive epochs
 /// vs ForceReadVectors - on the same DAG, timing the access path and
-/// gating: identical race output, zero generic oracle queries, every
-/// read on the epoch path, and no access-path time regression (1.5x
-/// headroom for CI timer noise on sub-ms slices).
+/// gating: identical race output and no access-path time regression
+/// (1.5x headroom for CI timer noise on sub-ms slices).
 DetectorRow runDetectorSize(size_t N, int Reps, int &Failures) {
   DetectorRow Row;
   Row.Ops = N;
@@ -327,22 +328,6 @@ DetectorRow runDetectorSize(size_t N, int Reps, int &Failures) {
       Row.AdaptiveBytes = D.detectorBytes();
       Row.Inflations = D.readInflations();
       Row.Deflations = D.readDeflations();
-      Row.EpochReadRate =
-          D.readsSeen()
-              ? static_cast<double>(D.epochReads()) /
-                    static_cast<double>(D.readsSeen())
-              : 1.0;
-      if (D.chcQueries() != 0) {
-        std::printf("FAIL: %llu generic oracle queries under the epoch "
-                    "oracle at %zu ops\n",
-                    static_cast<unsigned long long>(D.chcQueries()), N);
-        ++Failures;
-      }
-      if (Row.EpochReadRate < 0.9) {
-        std::printf("FAIL: epoch read rate %.3f < 0.9 at %zu ops\n",
-                    Row.EpochReadRate, N);
-        ++Failures;
-      }
     }
   }
   Row.AdaptiveMs = Best[0] * 1e3;
@@ -441,19 +426,21 @@ std::vector<KernelRow> runKernelTable() {
   return Rows;
 }
 
-/// Aggregated wr_epochs figures of the parity sweep's default-engine runs.
+/// Aggregated figures of the parity sweep's adaptive runs.
 struct ParityStats {
   uint64_t Races = 0;
   uint64_t Reads = 0;
-  uint64_t EpochReads = 0;
   uint64_t TrackedLocations = 0;
   uint64_t ReadVectorLocations = 0;
-  uint64_t ChcQueries = 0;
+  uint64_t OrderedPairs = 0;  ///< Op pairs checked against the DFS oracle.
+  uint64_t DfsMismatches = 0; ///< ... on which the clock index disagreed.
 };
 
-/// Race-output byte-identity: the same pages under DfsMemo, VectorClock,
-/// and VectorClock + ForceReadVectors must describe the identical raw and
-/// filtered races and report the same filter attrition.
+/// Race-output byte-identity: the same pages with the adaptive read state
+/// and with ForceReadVectors must describe the identical raw and filtered
+/// races and report the same filter attrition. On each adaptive run's
+/// final graph, reachesVectorClock must equal the memoized-DFS oracle
+/// reachesDfs on every ordered operation pair.
 ParityStats paritySites(size_t Sites, int &Failures) {
   std::vector<sites::GeneratedSite> Corpus =
       sites::buildFortune100Corpus(2012);
@@ -461,12 +448,10 @@ ParityStats paritySites(size_t Sites, int &Failures) {
     Corpus.resize(Sites);
   ParityStats Stats;
   for (const sites::GeneratedSite &Site : Corpus) {
-    std::string Descriptions[3];
-    for (int Variant = 0; Variant < 3; ++Variant) {
+    std::string Descriptions[2];
+    for (int Variant = 0; Variant < 2; ++Variant) {
       webracer::SessionOptions Opts;
-      Opts.Detector.Engine =
-          Variant == 0 ? EngineKind::HbDfs : EngineKind::Hb;
-      Opts.Detector.ForceReadVectors = Variant == 2;
+      Opts.Detector.ForceReadVectors = Variant == 1;
       Opts.Browser.Seed = 42;
       webracer::Session S(Opts);
       S.network().addResource(Site.IndexUrl, Site.Html, 10);
@@ -483,21 +468,25 @@ ParityStats paritySites(size_t Sites, int &Failures) {
           std::to_string(At.PriorReadGuard) + " " +
           std::to_string(At.MultiDispatch) + " " +
           std::to_string(At.Kept);
-      if (Variant != 1)
+      if (Variant != 0)
         continue;
       Stats.Races += Result.RawRaces.size();
       Stats.Reads += Result.Stats.ReadsSeen;
-      Stats.EpochReads += Result.Stats.EpochReads;
       Stats.TrackedLocations += Result.Stats.TrackedLocations;
       Stats.ReadVectorLocations += Result.Stats.ReadVectorLocations;
-      Stats.ChcQueries += Result.Stats.ChcQueries;
+      const HbGraph &G = S.browser().hb();
+      OpId N = static_cast<OpId>(G.numOperations());
+      for (OpId A = 1; A <= N; ++A)
+        for (OpId B = A + 1; B <= N; ++B) {
+          ++Stats.OrderedPairs;
+          if (G.reachesVectorClock(A, B) != G.reachesDfs(A, B) &&
+              ++Stats.DfsMismatches <= 5)
+            std::printf("FAIL: clock index and DFS disagree on %u -> %u "
+                        "on %s\n",
+                        A, B, Site.Name.c_str());
+        }
     }
     if (Descriptions[0] != Descriptions[1]) {
-      std::printf("FAIL: race output differs between strategies on %s\n",
-                  Site.Name.c_str());
-      ++Failures;
-    }
-    if (Descriptions[1] != Descriptions[2]) {
       std::printf("FAIL: race output differs between adaptive and forced "
                   "read vectors on %s\n",
                   Site.Name.c_str());
@@ -557,20 +546,18 @@ int main(int Argc, char **Argv) {
 
   std::printf("\n== detector access path: adaptive epochs vs forced read "
               "vectors ==\n");
-  std::printf("\n%7s | %9s | %8s | %8s | %10s | %10s | %9s\n", "ops",
-              "accesses", "adpt ms", "frcd ms", "adpt bytes", "frcd bytes",
-              "rd rate");
+  std::printf("\n%7s | %9s | %8s | %8s | %10s | %10s\n", "ops",
+              "accesses", "adpt ms", "frcd ms", "adpt bytes", "frcd bytes");
   std::printf("--------+-----------+----------+----------+------------+----"
-              "--------+----------\n");
+              "--------\n");
   std::vector<DetectorRow> DetRows;
   for (size_t N : Sizes) {
     DetectorRow Row = runDetectorSize(N, 3, Failures);
-    std::printf("%7zu | %9llu | %8.2f | %8.2f | %10llu | %10llu | %8.3f\n",
+    std::printf("%7zu | %9llu | %8.2f | %8.2f | %10llu | %10llu\n",
                 Row.Ops, static_cast<unsigned long long>(Row.Accesses),
                 Row.AdaptiveMs, Row.ForcedMs,
                 static_cast<unsigned long long>(Row.AdaptiveBytes),
-                static_cast<unsigned long long>(Row.ForcedBytes),
-                Row.EpochReadRate);
+                static_cast<unsigned long long>(Row.ForcedBytes));
     DetRows.push_back(Row);
   }
 
@@ -587,41 +574,28 @@ int main(int Argc, char **Argv) {
 
   size_t ParityCount = Quick ? 12 : 25;
   std::printf("\nchecking race-output parity on %zu corpus sites "
-              "(dfs / vc / vc+forced-vectors)...\n",
+              "(adaptive / forced-vectors, clock index vs dfs)...\n",
               ParityCount);
   ParityStats Parity = paritySites(ParityCount, Failures);
-  std::printf("raw races compared: %llu\n",
-              static_cast<unsigned long long>(Parity.Races));
-  // Corpus gates for the adaptive representation: the common case must
-  // stay O(1) per location (few locations ever inflate), reads must stay
-  // on the epoch path, and nothing may escalate to a generic query.
+  std::printf("raw races compared: %llu; ordered op pairs vs dfs: %llu, "
+              "%llu mismatch(es)\n",
+              static_cast<unsigned long long>(Parity.Races),
+              static_cast<unsigned long long>(Parity.OrderedPairs),
+              static_cast<unsigned long long>(Parity.DfsMismatches));
+  if (Parity.DfsMismatches)
+    ++Failures;
+  // Corpus gate for the adaptive representation: the common case must
+  // stay O(1) per location (few locations ever inflate).
   double InflatedPct =
       Parity.TrackedLocations
           ? 100.0 * static_cast<double>(Parity.ReadVectorLocations) /
                 static_cast<double>(Parity.TrackedLocations)
           : 0.0;
-  double CorpusReadRate =
-      Parity.Reads ? static_cast<double>(Parity.EpochReads) /
-                         static_cast<double>(Parity.Reads)
-                   : 1.0;
-  std::printf("corpus: %.1f%% locations inflated, %.3f epoch read rate, "
-              "%llu chc queries\n",
-              InflatedPct, CorpusReadRate,
-              static_cast<unsigned long long>(Parity.ChcQueries));
+  std::printf("corpus: %.1f%% locations inflated\n", InflatedPct);
   if (InflatedPct >= 10.0) {
     std::printf("FAIL: %.1f%% of corpus locations inflated a read vector "
                 "(gate: < 10%%)\n",
                 InflatedPct);
-    ++Failures;
-  }
-  if (CorpusReadRate < 0.9) {
-    std::printf("FAIL: corpus epoch read rate %.3f < 0.9\n", CorpusReadRate);
-    ++Failures;
-  }
-  if (Parity.ChcQueries != 0) {
-    std::printf("FAIL: %llu corpus CHC questions escalated to generic "
-                "oracle queries under the epoch oracle\n",
-                static_cast<unsigned long long>(Parity.ChcQueries));
     ++Failures;
   }
 
@@ -652,7 +626,6 @@ int main(int Argc, char **Argv) {
     R.set("forced_bytes", Row.ForcedBytes);
     R.set("read_inflations", Row.Inflations);
     R.set("read_deflations", Row.Deflations);
-    R.set("epoch_read_rate", Row.EpochReadRate);
     DetJson.push(std::move(R));
   }
   Doc.set("detector", std::move(DetJson));
@@ -660,7 +633,8 @@ int main(int Argc, char **Argv) {
   ParityJson.set("sites", static_cast<uint64_t>(ParityCount));
   ParityJson.set("raw_races", Parity.Races);
   ParityJson.set("reads", Parity.Reads);
-  ParityJson.set("epoch_reads", Parity.EpochReads);
+  ParityJson.set("ordered_pairs", Parity.OrderedPairs);
+  ParityJson.set("dfs_mismatches", Parity.DfsMismatches);
   ParityJson.set("tracked_locations", Parity.TrackedLocations);
   ParityJson.set("read_vector_locations", Parity.ReadVectorLocations);
   Doc.set("parity", std::move(ParityJson));
@@ -711,6 +685,6 @@ int main(int Argc, char **Argv) {
   }
   std::printf("\nOK: >=60%% clock-memory reduction, no build or access "
               "path regression, O(1)-common-case read state, "
-              "byte-identical races\n");
+              "byte-identical races, clock index == dfs\n");
   return 0;
 }

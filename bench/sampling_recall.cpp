@@ -71,7 +71,7 @@ void checkRateOneIdentity(const std::vector<sites::GeneratedSite> &Corpus,
       reportBytes(sites::runCorpus(Corpus, Off, Seed, 4));
 
   webracer::SessionOptions RateOne;
-  RateOne.Detector.Sampling.Strategy = sample::SamplingStrategy::PerPair;
+  RateOne.Detector.Sampling.Strategy = sample::SamplingStrategy::PerLocation;
   RateOne.Detector.Sampling.Rate = 1.0;
   RateOne.Detector.Sampling.Seed = Seed;
   std::string OneBytes =
@@ -201,7 +201,6 @@ int main(int Argc, char **Argv) {
   // One gated cell per strategy at the ISSUE's 10% operating point.
   const sample::SamplingStrategy Strategies[] = {
       sample::SamplingStrategy::PerLocation,
-      sample::SamplingStrategy::PerPair,
       sample::SamplingStrategy::Adaptive,
   };
   std::vector<bench::RecallCell> Cells;

@@ -2,10 +2,10 @@
 
 #include "detect/Prediction.h"
 
-#include "detect/TraceReplay.h"
 #include "hb/PredictiveEngine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -112,19 +112,14 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
   PredictionResult Result;
   Result.Engine = Engine;
 
-  // The Hb/HbDfs baseline answers from the fully reconstructed observed
-  // graph; the predictive engines build their own clocks from the stream.
-  HbGraph ObservedHb;
-  std::unique_ptr<PartialOrderEngine> Owned;
-  if (Engine == EngineKind::Hb || Engine == EngineKind::HbDfs) {
-    ObservedHb = buildHbGraphFromTrace(Log, Engine == EngineKind::Hb);
-    Owned = std::make_unique<HbEngine>(ObservedHb);
-  } else if (Engine == EngineKind::Shb) {
+  // The engines build their own clocks from the stream.
+  assert(Engine != EngineKind::Hb && "predictRaces takes SHB or WCP");
+  std::unique_ptr<PredictiveEngine> Owned;
+  if (Engine == EngineKind::Shb)
     Owned = std::make_unique<ShbEngine>();
-  } else {
+  else
     Owned = std::make_unique<WcpEngine>();
-  }
-  PartialOrderEngine &PO = *Owned;
+  PredictiveEngine &PO = *Owned;
 
   // WCP classifies dispatch-order edges by whether the endpoints
   // conflict, which needs both operations' access footprints before the
@@ -197,7 +192,6 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
     }
   }
 
-  if (Engine == EngineKind::Shb || Engine == EngineKind::Wcp)
-    Result.DroppedEdges = static_cast<PredictiveEngine &>(PO).droppedEdges();
+  Result.DroppedEdges = PO.droppedEdges();
   return Result;
 }

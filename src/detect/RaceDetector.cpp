@@ -69,51 +69,15 @@ bool RaceDetector::isReader(const LocState &St, OpId Op) {
   return It != End && *It == Op;
 }
 
-bool RaceDetector::pairConcurrent(OpId Prior, OpId Current) {
-  // The pair cache is sound only when the oracle's verdicts are
-  // immutable (the HB engines); predictive engines grow their clocks as
-  // accesses stream by, so every question goes straight to the oracle.
-  if (!Oracle->cacheableVerdicts()) {
-    ++ChcQueries;
-    return Oracle->concurrent(Prior, Current);
-  }
-  uint64_t Key = (static_cast<uint64_t>(Prior) << 32) | Current;
-  auto It = PairCache.find(Key);
-  if (It != PairCache.end()) {
-    ++EpochHits;
-    return It->second;
-  }
-  ++ChcQueries;
-  bool Concurrent = Oracle->concurrent(Prior, Current);
-  PairCache.emplace(Key, Concurrent);
-  return Concurrent;
-}
-
 bool RaceDetector::priorConcurrent(const Slot &S, OpId Current) {
-  // The VerifiedFT fast path: under an epoch-capable oracle the stored
-  // slot carries its op's (chain, pos) epoch, so CHC is one O(1) clock
-  // probe - no pair-cache entry. Only the lower-id side can be ordered
-  // before the higher one (HB edges strictly ascend), mirroring
-  // HbGraph::ordering's single-probe discipline; CurEpoch is the current
-  // op's epoch, fetched once per operation in onMemoryAccess.
-  if (S.E.Pos != 0 && Oracle->supportsEpochQueries()) {
-    ++EpochHits;
-    return S.Op < Current
-               ? !Oracle->epochOrdered(S.E.Chain, S.E.Pos, Current)
-               : !Oracle->epochOrdered(CurEpoch.Chain, CurEpoch.Pos, S.Op);
-  }
-  return pairConcurrent(S.Op, Current);
-}
-
-bool RaceDetector::slotConcurrent(Slot &S, OpId Current) {
-  if (Oracle->cacheableVerdicts() && S.CheckedVs == Current) {
-    ++EpochHits;
-    return S.Concurrent;
-  }
-  bool Concurrent = priorConcurrent(S, Current);
-  S.CheckedVs = Current;
-  S.Concurrent = Concurrent;
-  return Concurrent;
+  // The VerifiedFT fast path: the stored slot carries its op's (chain,
+  // pos) epoch, so CHC is one O(1) clock probe. Only the lower-id side
+  // can be ordered before the higher one (HB edges strictly ascend),
+  // mirroring HbGraph::ordering's single-probe discipline; CurEpoch is
+  // the current op's epoch, fetched once per operation in onMemoryAccess.
+  ++EpochHits;
+  return S.Op < Current ? !Hb.epochOrdered(S.E, Current)
+                        : !Hb.epochOrdered(CurEpoch, S.Op);
 }
 
 RaceKind wr::detect::classifyRace(const Access &First, const Access &Second,
@@ -181,13 +145,11 @@ void RaceDetector::noteRead(LocState &St, const Access &A) {
     ReadEntry &Cur = St.ReadVec[0];
     if (Cur.Op == A.Op)
       return; // Same-epoch re-read: the common case, no probe at all.
-    if (Cur.Op < A.Op &&
-        Oracle->epochOrdered(Cur.E.Chain, Cur.E.Pos, A.Op)) {
+    if (Cur.Op < A.Op && Hb.epochOrdered(Cur.E, A.Op)) {
       Cur = E; // Slide: the stored epoch is ordered before this reader.
       return;
     }
-    if (Cur.Op > A.Op &&
-        Oracle->epochOrdered(CurEpoch.Chain, CurEpoch.Pos, Cur.Op))
+    if (Cur.Op > A.Op && Hb.epochOrdered(CurEpoch, Cur.Op))
       return; // An inline-dispatch split: the stored (newer) read is
               // ordered after this one and subsumes it.
     // A read concurrent with the stored epoch: inflate to the vector.
@@ -225,7 +187,7 @@ void RaceDetector::noteWrite(LocState &St, const Access &A,
   // the loop exits early. A same-op entry probes its own clock (its own
   // delta slot) and counts as dominated - program order within an op.
   for (const ReadEntry &E : St.ReadVec)
-    if (!Oracle->epochOrdered(E.E.Chain, E.E.Pos, A.Op))
+    if (!Hb.epochOrdered(E.E, A.Op))
       return;
   if (St.Rep == ReadRep::Vector)
     ++ReadDeflations;
@@ -248,7 +210,6 @@ obs::SamplingStats RaceDetector::samplingStats() const {
   S.DroppedReads = C.DroppedReads;
   S.DroppedWrites = C.DroppedWrites;
   S.LocationPass = C.LocationPass;
-  S.PairPass = C.PairPass;
   S.ColdPass = C.ColdPass;
   S.HotPass = C.HotPass;
   S.RngPass = C.RngPass;
@@ -271,34 +232,7 @@ uint64_t RaceDetector::detectorBytes() const {
       Bytes += sizeof(std::vector<Slot>) +
                St.History->capacity() * sizeof(Slot);
   }
-  // Rough pair-cache node cost (key + value padded + next link) plus the
-  // bucket array; exact layout is library-specific, the point is that an
-  // epoch-capable run keeps this at zero.
-  Bytes += PairCache.size() * (sizeof(uint64_t) + 2 * sizeof(void *)) +
-           PairCache.bucket_count() * sizeof(void *);
   return Bytes;
-}
-
-bool RaceDetector::sampleAccess(const Access &A, bool UseEpochs) {
-  // The per-pair strategy keys on clock epochs, so the current op's
-  // epoch must be fetched before the decision; the other strategies
-  // leave the fetch to the processing path (a dropped access then never
-  // touches the clock index at all - the access-path saving).
-  ClockEpoch PairCur;
-  if (UseEpochs && Opts.Sampling.Strategy == sample::SamplingStrategy::PerPair) {
-    if (A.Op != CurOp) {
-      CurOp = A.Op;
-      CurEpoch = Oracle->epochOf(A.Op);
-    }
-    PairCur = CurEpoch;
-  }
-  OpId PriorOp = InvalidOpId;
-  ClockEpoch PriorE;
-  if (A.Loc < Locs.size()) {
-    PriorOp = Locs[A.Loc].LastWrite.Op;
-    PriorE = Locs[A.Loc].LastWrite.E;
-  }
-  return Sampler->shouldSample(A, PriorOp, PriorE, PairCur);
 }
 
 void RaceDetector::onMemoryAccess(const Access &A) {
@@ -306,18 +240,17 @@ void RaceDetector::onMemoryAccess(const Access &A) {
   // The sampling gate runs before any per-access work: a dropped access
   // is invisible to the detector (no counters, no slot state, no epoch
   // fetch) and is tallied by the sampler so attrition is never silent.
-  if (Sampler && !sampleAccess(A, Oracle->supportsEpochQueries()))
+  if (Sampler && !Sampler->shouldSample(A))
     return;
   ++AccessesSeen;
   if (A.Kind == AccessKind::Read)
     ++ReadsSeen;
-  bool UseEpochs = Oracle->supportsEpochQueries();
-  if (UseEpochs && A.Op != CurOp) {
+  if (A.Op != CurOp) {
     // One epoch fetch per operation (accesses stream contiguously per op
     // except across inline-dispatch splits); this also builds the clock
     // index up to the op, which every probe below relies on.
     CurOp = A.Op;
-    CurEpoch = Oracle->epochOf(A.Op);
+    CurEpoch = Hb.epochOf(A.Op);
   }
   LocState &St = state(A.Loc);
   // Once the one-per-location race is out, no ordering verdict on this
@@ -334,9 +267,9 @@ void RaceDetector::onMemoryAccess(const Access &A) {
       EpochHits += Hist.size();
     } else {
       // Check against every recorded access (read-write and write-write).
-      // Every prior poses one CHC question; each is answered by exactly
-      // one of the fast paths (read-read, same-op, epoch probe, pair
-      // cache) or the oracle, so EpochHits + ChcQueries == questions.
+      // Every prior poses one CHC question, answered by exactly one of
+      // read-read, same-op, or an epoch probe, so EpochHits counts the
+      // questions.
       for (const Slot &Prior : Hist) {
         bool OneIsWrite = Prior.A.Kind == AccessKind::Write ||
                           A.Kind == AccessKind::Write;
@@ -353,8 +286,7 @@ void RaceDetector::onMemoryAccess(const Access &A) {
     }
     Slot S;
     S.Op = A.Op;
-    if (UseEpochs)
-      S.E = CurEpoch;
+    S.E = CurEpoch;
     S.A = A;
     if (A.Kind == AccessKind::Write)
       S.HadPriorRead = isReader(St, A.Op);
@@ -367,38 +299,29 @@ void RaceDetector::onMemoryAccess(const Access &A) {
   // The paper's single-slot algorithm (Sec. 5.1). A read poses one CHC
   // question (vs LastWrite), a write poses two (vs LastWrite, then vs
   // LastRead unless the write check already reported); every question is
-  // answered by exactly one of the fast paths - ⊥ slot (the paper's
-  // CHC(⊥, b) = false case), same operation, muted location, the slot's
-  // cached verdict, a single epoch probe, the deflation-covered
-  // shortcut, the pair cache - or by one generic oracle query, so
-  // EpochHits + ChcQueries is the total question count.
+  // answered by exactly one of ⊥ slot (the paper's CHC(⊥, b) = false
+  // case), same operation, muted location, a single epoch probe, or the
+  // deflation-covered shortcut, so EpochHits is the question count.
   if (A.Kind == AccessKind::Read) {
-    Slot &W = St.LastWrite;
-    if (Muted || W.Op == InvalidOpId || W.Op == A.Op) {
+    const Slot &W = St.LastWrite;
+    if (Muted || W.Op == InvalidOpId || W.Op == A.Op)
       ++EpochHits;
-      ++EpochReads;
-    } else {
-      uint64_t QueriesBefore = ChcQueries;
-      if (slotConcurrent(W, A.Op))
-        report(St, W, A);
-      if (ChcQueries == QueriesBefore)
-        ++EpochReads; // Answered without a generic oracle call.
-    }
+    else if (priorConcurrent(W, A.Op))
+      report(St, W, A);
     Slot S;
     S.Op = A.Op;
-    if (UseEpochs)
-      S.E = CurEpoch;
+    S.E = CurEpoch;
     S.A = A;
     St.LastRead = std::move(S);
     insertSorted(St.Readers, A.Op, [](OpId Op) { return Op; });
-    if (UseEpochs && !Muted)
+    if (!Muted)
       noteRead(St, A);
     return;
   }
 
   // Write: race against the last write and the last read.
-  Slot &W = St.LastWrite;
-  Slot &R = St.LastRead;
+  const Slot &W = St.LastWrite;
+  const Slot &R = St.LastRead;
   // Whether this write is ordered after the previous LastWrite (known
   // from the write check's verdict plus the id direction; same-op and
   // no-prior-write count as vacuously ordered). Drives the ReadsCovered
@@ -411,7 +334,7 @@ void RaceDetector::onMemoryAccess(const Access &A) {
     if (W.Op == InvalidOpId || W.Op == A.Op) {
       ++EpochHits;
       OrderedAfterLastWrite = true;
-    } else if (slotConcurrent(W, A.Op)) {
+    } else if (priorConcurrent(W, A.Op)) {
       RacedWithWrite = true;
       report(St, W, A);
     } else {
@@ -425,23 +348,19 @@ void RaceDetector::onMemoryAccess(const Access &A) {
         // Deflation shortcut (the FastTrack write-after-ordered-reads
         // O(1) case): every read is ordered before LastWrite and this
         // write is ordered after LastWrite, so transitively the read
-        // check's verdict is "not concurrent" - cache it without a
-        // probe. See DESIGN.md "Adaptive epochs" for the soundness
-        // argument.
+        // check's verdict is "not concurrent" - no probe needed. See
+        // DESIGN.md "Adaptive epochs" for the soundness argument.
         ++EpochHits;
-        R.CheckedVs = A.Op;
-        R.Concurrent = false;
-      } else if (slotConcurrent(R, A.Op)) {
+      } else if (priorConcurrent(R, A.Op)) {
         report(St, R, A);
       }
     }
   }
-  if (UseEpochs && !Muted)
+  if (!Muted)
     noteWrite(St, A, OrderedAfterLastWrite);
   Slot S;
   S.Op = A.Op;
-  if (UseEpochs)
-    S.E = CurEpoch;
+  S.E = CurEpoch;
   S.A = A;
   S.HadPriorRead = isReader(St, A.Op);
   St.LastWrite = std::move(S);

@@ -20,10 +20,8 @@ static size_t countOperations(const TraceLog &Log) {
   return N;
 }
 
-HbGraph wr::detect::buildHbGraphFromTrace(const TraceLog &Log,
-                                          bool UseVectorClocks) {
+HbGraph wr::detect::buildHbGraphFromTrace(const TraceLog &Log) {
   HbGraph Hb;
-  Hb.setUseVectorClocks(UseVectorClocks);
   Hb.reserveOperations(countOperations(Log));
   for (const TraceEvent &E : Log.events()) {
     switch (E.K) {
@@ -69,10 +67,9 @@ DispatchCountFn wr::detect::dispatchCountsFromTrace(const TraceLog &Log) {
 ReplayResult wr::detect::replayTrace(const TraceLog &Log,
                                      const ReplayOptions &Opts) {
   ReplayResult Result;
-  // The observed pass always replays under happens-before; the engine
-  // choice only selects the graph strategy (HbDfs) or adds predictive
-  // passes below - race output stays byte-identical to the online run.
-  Result.Hb.setUseVectorClocks(Opts.Detector.Engine != EngineKind::HbDfs);
+  // The observed pass always replays under happens-before; a predictive
+  // engine only adds the passes below - race output stays byte-identical
+  // to the online run.
   Result.Hb.reserveOperations(countOperations(Log));
   // The trace's interner resolves the access stream's LocIds; it was
   // either mirrored from the online engine or rebuilt by deserialize.
@@ -80,7 +77,7 @@ ReplayResult wr::detect::replayTrace(const TraceLog &Log,
   size_t Crashes = 0;
   // One in-order pass: graph construction and detection interleave exactly
   // as they did online, so the detector sees each access against the same
-  // graph prefix (and issues the same CHC queries) as the recording run.
+  // graph prefix (and poses the same CHC questions) as the recording run.
   for (const TraceEvent &E : Log.events()) {
     switch (E.K) {
     case TraceEvent::Kind::OpCreated: {
@@ -115,9 +112,6 @@ ReplayResult wr::detect::replayTrace(const TraceLog &Log,
     if (uint64_t N = Result.Hb.edgesByRule()[I])
       S.HbEdgesByRule.push_back(
           {wr::toString(static_cast<HbRule>(I)), N});
-  S.ChcQueries = Detector.chcQueries();
-  S.DfsVisits = Result.Hb.dfsVisitCount();
-  S.DfsMemoHits = Result.Hb.memoHits();
   S.VcChains = Result.Hb.numChains();
   S.ClockBytes = Result.Hb.clockBytes();
   S.ClockMerges = Result.Hb.clockMerges();
@@ -133,7 +127,6 @@ ReplayResult wr::detect::replayTrace(const TraceLog &Log,
                      : 0;
   S.EpochHits = Detector.epochHits();
   S.ReadsSeen = Detector.readsSeen();
-  S.EpochReads = Detector.epochReads();
   S.ReadInflations = Detector.readInflations();
   S.ReadDeflations = Detector.readDeflations();
   S.ReadVectorLocations = Detector.readVectorLocations();

@@ -11,15 +11,10 @@
 /// draw their dispatch counts from the trace's dispatch records. Because
 /// replay processes events in exactly the order the engine emitted them,
 /// an offline run is observationally identical to the online run that
-/// recorded the trace - same races, same filtered set, same CHC query
+/// recorded the trace - same races, same filtered set, same epoch-hit
 /// count - so detector-mode and filter ablations can compare
 /// configurations against one recorded execution instead of re-running
 /// the browser per configuration.
-///
-/// Replay defaults to the vector-clock happens-before representation: a
-/// trace consumer issues the same CHC queries as the online detector but
-/// pays no instrumentation cost, so the O(1) clock lookup dominates DFS
-/// even more clearly than online.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,22 +33,21 @@
 namespace wr::detect {
 
 /// Configuration for one offline detection run. The partial order lives
-/// in Detector.Engine (hb | hb-dfs | shb | wcp); the observed-race pass
+/// in Detector.Engine (hb | shb | wcp); the observed-race pass
 /// always replays under happens-before (byte-identical to the online
 /// run), and selecting a predictive engine - or setting Predict - adds
 /// detect/Prediction.h passes whose results land in
 /// ReplayResult::Predictions and the stats' wr_prediction rows.
 struct ReplayOptions {
   DetectorOptions Detector;
-  /// Run the predictive passes even when Detector.Engine is an HB
-  /// engine (then both SHB and WCP run, for the side-by-side delta).
+  /// Run the predictive passes even when Detector.Engine is Hb (then
+  /// both SHB and WCP run, for the side-by-side delta).
   bool Predict = false;
 
   /// Prediction runs when asked for, or implied by a predictive engine
   /// (the partial order itself lives in Detector.Engine).
   bool predictEffective() const {
-    EngineKind K = Detector.Engine;
-    return Predict || K == EngineKind::Shb || K == EngineKind::Wcp;
+    return Predict || Detector.Engine != EngineKind::Hb;
   }
 };
 
@@ -62,8 +56,8 @@ struct ReplayOptions {
 struct ReplayResult {
   std::vector<Race> RawRaces;
   std::vector<Race> FilteredRaces; ///< After the Sec. 5.3 filters.
-  /// The detection-relevant statistics (operations, HB edges, CHC
-  /// queries, intern/epoch counters, crashes, ...) as a structured
+  /// The detection-relevant statistics (operations, HB edges,
+  /// intern/epoch counters, crashes, ...) as a structured
   /// record; the browser-side figures - tasks, virtual time, exploration
   /// - stay zero offline.
   obs::RunStats Stats;
@@ -77,8 +71,7 @@ struct ReplayResult {
 
 /// Reconstructs the happens-before graph alone (operations with their full
 /// metadata plus rule-tagged edges) from \p Log.
-HbGraph buildHbGraphFromTrace(const TraceLog &Log,
-                              bool UseVectorClocks = true);
+HbGraph buildHbGraphFromTrace(const TraceLog &Log);
 
 /// A DispatchCountFn backed by the trace's dispatch records; keys counts
 /// by (target node, target object, event type) exactly like the engine.

@@ -114,10 +114,8 @@ bool HbGraph::reachesDfs(OpId A, OpId B) const {
     return false; // Edges strictly ascend, so no path can descend.
   uint64_t Key = (static_cast<uint64_t>(A) << 32) | B;
   auto Memo = ReachMemo.find(Key);
-  if (Memo != ReachMemo.end() && (Memo->second >> 1) == MemoEpoch) {
-    ++MemoHits;
-    return Memo->second & 1;
-  }
+  if (Memo != ReachMemo.end())
+    return Memo->second;
 
   // Iterative DFS restricted to ids in (A, B]; edges ascend so anything
   // above B can never reach back down to it.
@@ -129,7 +127,6 @@ bool HbGraph::reachesDfs(OpId A, OpId B) const {
   while (!Stack.empty() && !Found) {
     OpId Cur = Stack.back();
     Stack.pop_back();
-    ++DfsVisits;
     for (OpId Next : Succ[Cur - 1]) {
       if (Next == B) {
         Found = true;
@@ -141,14 +138,8 @@ bool HbGraph::reachesDfs(OpId A, OpId B) const {
       Stack.push_back(Next);
     }
   }
-  ReachMemo.insert_or_assign(Key, (MemoEpoch << 1) | (Found ? 1 : 0));
+  ReachMemo.emplace(Key, Found);
   return Found;
-}
-
-void HbGraph::resetQueryState() {
-  // Epoch bump instead of ReachMemo.clear(): stale entries die at lookup
-  // and get overwritten in place, so the hash table keeps its buckets.
-  ++MemoEpoch;
 }
 
 void HbGraph::buildClock(OpId Op) const {

@@ -8,32 +8,29 @@
 /// The happens-before relation of the paper's Section 3.3, represented as a
 /// DAG over operations with rule-tagged edges.
 ///
-/// Two reachability strategies are provided:
+/// Reachability is answered by the chain-decomposition vector-clock
+/// index, the representation the paper names as future work (and which
+/// the follow-up EventRacer system adopted). Operations are greedily
+/// packed into chains; each operation carries a clock of per-chain
+/// watermarks; reachability is an O(1) clock lookup. Clocks live in one
+/// contiguous arena (a uint32_t pool plus a small per-op record) and are
+/// shared copy-on-write: an operation that merely extends its
+/// predecessor's chain aliases the predecessor's clock slab and overrides
+/// one slot, and a multi-predecessor merge only materializes a new slab
+/// when some predecessor's watermarks are not already dominated by the
+/// base. See DESIGN.md "Near-linear HB index" for why sharing is sound
+/// under the edges-only-target-the-newest-op builder contract.
 ///
-///  * DfsMemo: the paper's implementation strategy - "the race detector
-///    represents the happens-before relation rather directly as a graph
-///    structure" with repeated traversals (Sec. 5.2.1). We add a memo table,
-///    which is sound because the builder only ever adds edges *to the most
-///    recently created operation*: once both endpoints of a query exist, no
-///    later edge can create a new path between them (every edge goes from a
-///    lower OpId to a higher OpId, so a new path through a fresh operation
-///    would have to descend back below it). The memo is epoch-clearable:
-///    resetQueryState() invalidates every entry in O(1) without releasing
-///    the table's buckets, so a graph reused across replay configurations
-///    does not rehash from scratch.
-///
-///  * VectorClock: the chain-decomposition vector-clock representation the
-///    paper names as future work (and which the follow-up EventRacer system
-///    adopted). Operations are greedily packed into chains; each operation
-///    carries a clock of per-chain watermarks; reachability is an O(1)
-///    clock lookup. Clocks live in one contiguous arena (a uint32_t pool
-///    plus a small per-op record) and are shared copy-on-write: an
-///    operation that merely extends its predecessor's chain aliases the
-///    predecessor's clock slab and overrides one slot, and a
-///    multi-predecessor merge only materializes a new slab when some
-///    predecessor's watermarks are not already dominated by the base. See
-///    DESIGN.md "Near-linear HB index" for why sharing is sound under the
-///    edges-only-target-the-newest-op builder contract.
+/// The paper's own strategy - "the race detector represents the
+/// happens-before relation rather directly as a graph structure" with
+/// repeated traversals (Sec. 5.2.1) - survives as reachesDfs(), a
+/// memoized DFS kept as the parity oracle the tests and benches compare
+/// the clock index against. The memo is sound because the builder only
+/// ever adds edges *to the most recently created operation*: once both
+/// endpoints of a query exist, no later edge can create a new path
+/// between them (every edge goes from a lower OpId to a higher OpId, so a
+/// new path through a fresh operation would have to descend back below
+/// it).
 ///
 /// `bench/ablation_hb_repr` compares the two; `bench/hb_scaling` pins the
 /// build-cost and clock-memory behavior at growing operation counts.
@@ -105,20 +102,11 @@ inline constexpr size_t NumHbRules =
 /// 1-based position within that chain. This is the FastTrack/VerifiedFT
 /// "epoch" the race detector stores per location slot: the op holding
 /// epoch (c, p) happens-before B iff B's watermark for chain c is >= p -
-/// one clock probe, no pair-cache entry. Pos 0 never names a real
-/// operation (positions are 1-based), so a default ClockEpoch is the
-/// "no epoch recorded" sentinel.
+/// one clock probe. Pos 0 never names a real operation (positions are
+/// 1-based), so a default ClockEpoch is the "no epoch recorded" sentinel.
 struct ClockEpoch {
   uint32_t Chain = 0;
   uint32_t Pos = 0;
-
-  /// The epoch as one word ((Chain << 32) | Pos). The sampling layer's
-  /// per-pair strategy keys its hash on this instead of raw OpIds:
-  /// chain assignment is deterministic for a fixed seed, so pair keys
-  /// survive OpId renumbering between a recording and its replay.
-  uint64_t packed() const {
-    return (static_cast<uint64_t>(Chain) << 32) | Pos;
-  }
 };
 
 /// The happens-before DAG. Operations are created through `addOperation`
@@ -170,10 +158,6 @@ public:
     return EdgesByRule;
   }
 
-  /// DFS reachability queries answered from the memo table (the paper's
-  /// Sec. 5.2.1 memoization win, now observable without recompiling).
-  uint64_t memoHits() const { return MemoHits; }
-
   /// Operation metadata. \p Op must be valid.
   const Operation &operation(OpId Op) const {
     assert(Op != InvalidOpId && Op <= Ops.size() && "invalid OpId");
@@ -198,18 +182,15 @@ public:
     return Pred[Op - 1];
   }
 
-  /// True iff A happens-before B in the transitive closure (A != B).
-  /// Dispatches to the configured strategy.
+  /// True iff A happens-before B in the transitive closure (A != B),
+  /// answered from the clock index.
   bool happensBefore(OpId A, OpId B) const {
-    return UseVectorClocks ? reachesVectorClock(A, B) : reachesDfs(A, B);
+    return reachesVectorClock(A, B);
   }
 
   /// Combined ordering query. Requires A != B, both valid. Issues at
   /// most one reachability probe: edges strictly ascend, so only the
-  /// lower-id side can possibly reach the higher-id side, and both
-  /// strategies answer the impossible direction without touching any
-  /// counter - the probe count (and thus chc_queries, dfs_visits,
-  /// memo hits) is byte-identical to the former double-probe CHC.
+  /// lower-id side can possibly reach the higher-id side.
   Ordering ordering(OpId A, OpId B) const {
     assert(A != InvalidOpId && B != InvalidOpId && A != B &&
            "ordering() requires two distinct valid operations");
@@ -225,20 +206,12 @@ public:
     return ordering(A, B) == Ordering::Concurrent;
   }
 
-  /// Memoized-DFS reachability (the paper's graph strategy).
+  /// Memoized-DFS reachability (the paper's graph strategy): the parity
+  /// oracle for the clock index, never consulted by detection.
   bool reachesDfs(OpId A, OpId B) const;
 
   /// Chain-decomposition vector-clock reachability.
   bool reachesVectorClock(OpId A, OpId B) const;
-
-  /// Selects the strategy used by happensBefore().
-  void setUseVectorClocks(bool Use) { UseVectorClocks = Use; }
-  bool usesVectorClocks() const { return UseVectorClocks; }
-
-  /// Invalidates the DFS memo table in O(1) by bumping its epoch: the
-  /// bucket array survives, so a graph reused across replay
-  /// configurations pays no rehash when its cached answers are discarded.
-  void resetQueryState();
 
   /// Number of chains the vector-clock index currently uses.
   size_t numChains() const { return ChainTails.size(); }
@@ -266,19 +239,16 @@ public:
     return {R.DeltaChain, R.DeltaPos};
   }
 
-  /// True iff the operation holding epoch (\p Chain, \p Pos) happens-
-  /// before \p Op: one clockEntryAt probe, no pair-cache entry. Correct
-  /// for any id relation between the epoch's owner and \p Op - chain
-  /// positions grow with operation id along a chain, so the watermark of
-  /// an older op can never reach a newer op's position.
-  bool epochOrdered(uint32_t Chain, uint32_t Pos, OpId Op) const {
-    assert(Op != InvalidOpId && Op <= Ops.size() && "invalid OpId");
-    assert(Pos != 0 && "epoch positions are 1-based");
-    ensureClocks(Op);
-    return clockEntryAt(Op - 1, Chain) >= Pos;
-  }
+  /// True iff the operation holding epoch \p E happens-before \p Op: one
+  /// clockEntryAt probe. Correct for any id relation between the epoch's
+  /// owner and \p Op - chain positions grow with operation id along a
+  /// chain, so the watermark of an older op can never reach a newer op's
+  /// position.
   bool epochOrdered(ClockEpoch E, OpId Op) const {
-    return epochOrdered(E.Chain, E.Pos, Op);
+    assert(Op != InvalidOpId && Op <= Ops.size() && "invalid OpId");
+    assert(E.Pos != 0 && "epoch positions are 1-based");
+    ensureClocks(Op);
+    return clockEntryAt(Op - 1, E.Chain) >= E.Pos;
   }
 
   /// Bytes the vector-clock index currently holds: the shared watermark
@@ -313,10 +283,6 @@ public:
   /// Returns one A -> ... -> B path (operation ids, inclusive) if A
   /// happens-before B, else an empty vector. For report explanations.
   std::vector<OpId> explainPath(OpId A, OpId B) const;
-
-  /// Total DFS node visits performed so far (for the representation
-  /// ablation bench).
-  uint64_t dfsVisitCount() const { return DfsVisits; }
 
 private:
   /// One operation's clock: a base slab of per-chain watermarks in
@@ -356,20 +322,14 @@ private:
   size_t EdgeCount = 0;
   std::array<uint64_t, NumHbRules> EdgesByRule{};
 
-  // DFS memo: key = (A << 32 | B), value = (epoch << 1 | reachable). An
-  // entry is live only when its epoch matches MemoEpoch, so
-  // resetQueryState() invalidates everything by bumping the epoch. The
-  // key packing gives each endpoint exactly half of the 64-bit key, so
-  // OpId must stay at most 32 bits wide; widening OpId requires a new
-  // key scheme here.
+  // DFS memo: key = (A << 32 | B), value = reachable. The key packing
+  // gives each endpoint exactly half of the 64-bit key, so OpId must stay
+  // at most 32 bits wide; widening OpId requires a new key scheme here.
   static_assert(sizeof(OpId) * 8 <= 32,
                 "ReachMemo packs two OpIds into one uint64_t key");
-  mutable std::unordered_map<uint64_t, uint64_t> ReachMemo;
-  mutable uint64_t MemoEpoch = 0;
+  mutable std::unordered_map<uint64_t, bool> ReachMemo;
   mutable std::vector<uint32_t> VisitEpoch;
   mutable uint32_t CurrentEpoch = 0;
-  mutable uint64_t DfsVisits = 0;
-  mutable uint64_t MemoHits = 0;
 
   // Vector clocks: one contiguous watermark arena plus a fixed-size
   // record per operation (built lazily in id order).
@@ -378,11 +338,6 @@ private:
   mutable std::vector<OpId> ChainTails; ///< Last op of each chain.
   mutable uint64_t SharedClocks = 0;
   mutable uint64_t ClockMerges = 0;
-
-  /// Matches the session default (every engine but HbDfs uses clocks),
-  /// so a bare graph and a session-built one answer happensBefore() the
-  /// same way.
-  bool UseVectorClocks = true;
 };
 
 } // namespace wr

@@ -10,8 +10,6 @@ const char *wr::toString(EngineKind Kind) {
   switch (Kind) {
   case EngineKind::Hb:
     return "hb";
-  case EngineKind::HbDfs:
-    return "hb-dfs";
   case EngineKind::Shb:
     return "shb";
   case EngineKind::Wcp:
@@ -21,8 +19,7 @@ const char *wr::toString(EngineKind Kind) {
 }
 
 bool wr::parseEngineKind(const char *Name, EngineKind &Out) {
-  for (EngineKind K : {EngineKind::Hb, EngineKind::HbDfs, EngineKind::Shb,
-                       EngineKind::Wcp}) {
+  for (EngineKind K : {EngineKind::Hb, EngineKind::Shb, EngineKind::Wcp}) {
     if (std::strcmp(Name, toString(K)) == 0) {
       Out = K;
       return true;

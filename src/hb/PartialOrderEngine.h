@@ -5,21 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The partial-order oracle the race detector consumes, extracted behind
-/// an engine interface so the observed happens-before relation (HbGraph)
-/// is just one of several orders a recorded trace can be analyzed under:
+/// The partial orders a recorded trace can be analyzed under:
 ///
-///  * Hb / HbDfs - the paper's happens-before relation, answered by the
-///    existing HbGraph (vector clocks or memoized DFS). Verdicts between
-///    existing operations are immutable, so they may be cached.
+///  * Hb - the paper's happens-before relation. It has no engine: the
+///    observed-race detector holds the HbGraph directly and asks its
+///    clock index epoch probes (RaceDetector.h).
 ///  * Shb / Wcp (PredictiveEngine.h) - weaker/stronger orders for race
 ///    *prediction* over replayed traces; their verdicts evolve as the
-///    trace streams by, so caching is forbidden (cacheableVerdicts()).
+///    trace streams by. The predictive pass (detect/Prediction.h) asks
+///    them through the engine interface below.
 ///
 /// Engines receive the replayed trace through the three hook methods
 /// (operation creation, rule-tagged HB edges, memory accesses) plus an
-/// optional primeAccess() pre-pass; all hooks default to no-ops so the
-/// graph-backed engine stays a thin adapter.
+/// optional primeAccess() pre-pass; all hooks default to no-ops.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,14 +31,13 @@ namespace wr {
 
 /// Which partial order a detector or prediction pass runs over.
 enum class EngineKind : uint8_t {
-  Hb,    ///< Observed happens-before, vector-clock strategy (default).
-  HbDfs, ///< Observed happens-before, memoized-DFS strategy.
-  Shb,   ///< Schedulable-HB: HB plus write-read edges (SHB paper).
-  Wcp,   ///< Weak-causally-precedes adaptation: SHB minus dispatch-order
-         ///< edges between non-conflicting operations.
+  Hb,  ///< Observed happens-before (default).
+  Shb, ///< Schedulable-HB: HB plus write-read edges (SHB paper).
+  Wcp, ///< Weak-causally-precedes adaptation: SHB minus dispatch-order
+       ///< edges between non-conflicting operations.
 };
 
-/// Renders an engine kind as its CLI spelling (hb, hb-dfs, shb, wcp).
+/// Renders an engine kind as its CLI spelling (hb, shb, wcp).
 const char *toString(EngineKind Kind);
 
 /// Parses a CLI engine name; returns false (leaving \p Out untouched) on
@@ -69,35 +66,6 @@ public:
     return ordering(A, B) == Ordering::Concurrent;
   }
 
-  /// True when a verdict between two existing operations can never
-  /// change, so detector-side epoch/pair caches are sound. Predictive
-  /// engines grow clocks as accesses stream by and must return false.
-  virtual bool cacheableVerdicts() const { return true; }
-
-  /// True when this engine can name operations by (chain, position)
-  /// epochs and answer epoch-ordering probes with one O(1) clock lookup
-  /// (the vector-clock HbGraph strategy). The detector then stores one
-  /// epoch per location slot and answers every ordering question through
-  /// epochOrdered() - no pair-cache entry, no generic concurrent() call.
-  virtual bool supportsEpochQueries() const { return false; }
-
-  /// The epoch of \p Op. Only meaningful when supportsEpochQueries();
-  /// the default returns the Pos == 0 "no epoch" sentinel.
-  virtual ClockEpoch epochOf(OpId Op) const {
-    (void)Op;
-    return {};
-  }
-
-  /// True iff the operation holding epoch (\p Chain, \p Pos) precedes
-  /// \p Op in this engine's order. Only meaningful when
-  /// supportsEpochQueries().
-  virtual bool epochOrdered(uint32_t Chain, uint32_t Pos, OpId Op) const {
-    (void)Chain;
-    (void)Pos;
-    (void)Op;
-    return false;
-  }
-
   /// Trace-stream hooks (defaults: no-op). Drivers feed every replayed
   /// event through these in trace order.
   virtual void onOperationCreated(OpId Op, const Operation &Meta) {
@@ -119,40 +87,6 @@ public:
     (void)Loc;
     (void)Kind;
   }
-};
-
-/// The observed-HB engine: a thin adapter over an existing HbGraph. The
-/// graph is built by the browser or the replay driver; this engine only
-/// answers queries, so all hooks stay no-ops.
-class HbEngine final : public PartialOrderEngine {
-public:
-  explicit HbEngine(const HbGraph &Hb) : Hb(Hb) {}
-
-  EngineKind kind() const override {
-    return Hb.usesVectorClocks() ? EngineKind::Hb : EngineKind::HbDfs;
-  }
-
-  Ordering ordering(OpId A, OpId B) const override {
-    return Hb.ordering(A, B);
-  }
-
-  /// Epoch queries are available exactly when the graph answers
-  /// happensBefore() from its clock index (checked per call: tests and
-  /// benches flip the strategy on a live graph).
-  bool supportsEpochQueries() const override {
-    return Hb.usesVectorClocks();
-  }
-
-  ClockEpoch epochOf(OpId Op) const override { return Hb.epochOf(Op); }
-
-  bool epochOrdered(uint32_t Chain, uint32_t Pos, OpId Op) const override {
-    return Hb.epochOrdered(Chain, Pos, Op);
-  }
-
-  const HbGraph &graph() const { return Hb; }
-
-private:
-  const HbGraph &Hb;
 };
 
 } // namespace wr

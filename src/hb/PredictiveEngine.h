@@ -35,8 +35,8 @@
 ///    real platform guarantees; see DESIGN.md).
 ///
 /// Because clocks grow as accesses stream by (a reader's clock gains the
-/// last writer's), verdicts between existing operations are mutable:
-/// cacheableVerdicts() is false and drivers must not memoize.
+/// last writer's), verdicts between existing operations are mutable, so
+/// drivers must not memoize them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +62,6 @@ namespace wr {
 class PredictiveEngine : public PartialOrderEngine {
 public:
   Ordering ordering(OpId A, OpId B) const override;
-  bool cacheableVerdicts() const override { return false; }
 
   void onOperationCreated(OpId Op, const Operation &Meta) override;
   void onHbEdge(OpId From, OpId To, HbRule Rule) override;

@@ -4,6 +4,7 @@
 
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
 #include <climits>
 #include <cstring>
@@ -192,18 +193,6 @@ void putAccess(std::string &Out, const Access &A) {
   putStr(Out, A.Detail);
 }
 
-/// WRT1 access record: the full location is inlined.
-void putAccessLegacy(std::string &Out, const Access &A,
-                     const LocationInterner &Interner) {
-  putU8(Out, static_cast<uint8_t>(A.Kind));
-  putU8(Out, static_cast<uint8_t>(A.Origin));
-  putVar(Out, A.Op);
-  assert(Interner.contains(A.Loc) &&
-         "legacy serialization needs a resolvable location id");
-  putLocation(Out, Interner.resolve(A.Loc));
-  putStr(Out, A.Detail);
-}
-
 void putOperation(std::string &Out, const Operation &Op) {
   putU8(Out, static_cast<uint8_t>(Op.Kind));
   putVar(Out, Op.Doc);
@@ -380,13 +369,12 @@ private:
 
 } // namespace
 
-namespace {
-
-/// Everything after the magic + optional location table is shared between
-/// the two formats, modulo how an access names its location.
-template <typename AccessFn>
-void putEvents(std::string &Out, const std::vector<TraceEvent> &Events,
-               AccessFn PutAccess) {
+std::string TraceLog::serialize() const {
+  std::string Out;
+  Out.append(MagicV2, sizeof(MagicV2));
+  putVar(Out, Interner.size());
+  for (LocId Id = 0; Id < Interner.size(); ++Id)
+    putLocation(Out, Interner.resolve(Id));
   putVar(Out, Events.size());
   for (const TraceEvent &E : Events) {
     putU8(Out, static_cast<uint8_t>(E.K));
@@ -408,7 +396,7 @@ void putEvents(std::string &Out, const std::vector<TraceEvent> &Events,
       putU8(Out, static_cast<uint8_t>(E.Rule));
       break;
     case TraceEvent::Kind::MemAccess:
-      PutAccess(Out, E.Mem);
+      putAccess(Out, E.Mem);
       break;
     case TraceEvent::Kind::Dispatch:
       putVar(Out, E.Target);
@@ -420,27 +408,6 @@ void putEvents(std::string &Out, const std::vector<TraceEvent> &Events,
       break;
     }
   }
-}
-
-} // namespace
-
-std::string TraceLog::serialize() const {
-  std::string Out;
-  Out.append(MagicV2, sizeof(MagicV2));
-  putVar(Out, Interner.size());
-  for (LocId Id = 0; Id < Interner.size(); ++Id)
-    putLocation(Out, Interner.resolve(Id));
-  putEvents(Out, Events,
-            [](std::string &Buf, const Access &A) { putAccess(Buf, A); });
-  return Out;
-}
-
-std::string TraceLog::serializeLegacyWrt1() const {
-  std::string Out;
-  Out.append(MagicV1, sizeof(MagicV1));
-  putEvents(Out, Events, [this](std::string &Buf, const Access &A) {
-    putAccessLegacy(Buf, A, Interner);
-  });
   return Out;
 }
 
@@ -478,6 +445,16 @@ bool TraceLog::deserialize(const std::string &Bytes, TraceLog &Out,
   if (!R.getVar(Count))
     return Fail(R.error());
   Out.Events.reserve(static_cast<size_t>(Count));
+  // The HbGraph builder contract, checked as the stream decodes: the
+  // newest created operation, and the highest operation any access named
+  // (replay finalizes clocks up to it, so no edge may target it later).
+  OpId Created = InvalidOpId;
+  OpId MaxAccessed = InvalidOpId;
+  auto Contract = [&](const char *Fmt, OpId A, OpId B, uint64_t Event) {
+    return Fail(strFormat(Fmt, A, B) +
+                strFormat(" (event %llu)",
+                          static_cast<unsigned long long>(Event)));
+  };
   for (uint64_t I = 0; I < Count; ++I) {
     TraceEvent E;
     if (!R.getEnum(E.K, static_cast<uint8_t>(EventKind::Dispatch),
@@ -520,6 +497,35 @@ bool TraceLog::deserialize(const std::string &Bytes, TraceLog &Out,
     }
     if (!Ok)
       return Fail(R.error());
+    switch (E.K) {
+    case EventKind::OpCreated:
+      if (E.Op != Created + 1)
+        return Contract("operation %u created out of order (expected %u)",
+                        E.Op, Created + 1, I);
+      Created = E.Op;
+      break;
+    case EventKind::HbEdge:
+      if (E.Op2 != Created)
+        return Contract("hb edge %u -> %u does not target the newest "
+                        "operation",
+                        E.Op, E.Op2, I);
+      if (E.Op == InvalidOpId || E.Op >= E.Op2)
+        return Contract("hb edge %u -> %u does not run from an older "
+                        "operation",
+                        E.Op, E.Op2, I);
+      if (MaxAccessed == E.Op2)
+        return Contract("hb edge %u -> %u follows an access of its target",
+                        E.Op, E.Op2, I);
+      break;
+    case EventKind::MemAccess:
+      if (E.Op == InvalidOpId || E.Op > Created)
+        return Contract("access names operation %u, but only %u exist",
+                        E.Op, Created, I);
+      MaxAccessed = std::max(MaxAccessed, E.Op);
+      break;
+    default:
+      break;
+    }
     Out.Events.push_back(std::move(E));
   }
   if (!R.atEnd())

@@ -22,9 +22,10 @@
 /// Formats: WRT2 (current) opens with a location string table - every
 /// distinct logical location once, in id order - and access records carry
 /// the varint LocId; WRT1 (legacy) inlined the full location into every
-/// access record. serialize() always writes WRT2; deserialize() accepts
-/// both, re-interning WRT1's inline locations in stream order (which is
-/// first-touch order, so the ids match the online run's).
+/// access record. serialize() writes WRT2; deserialize() accepts both,
+/// re-interning WRT1's inline locations in stream order (which is
+/// first-touch order, so the ids match the online run's). No WRT1 writer
+/// remains; tests/traces/fig1.wrt1 pins the legacy decoder.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,17 +120,16 @@ public:
   /// string table first, then events referencing it by id.
   std::string serialize() const;
 
-  /// Encodes the trace in the legacy WRT1 layout (inline locations, no
-  /// table). Kept so compatibility tooling and tests can produce traces
-  /// older readers understand; every access's LocId must resolve in the
-  /// trace's interner.
-  std::string serializeLegacyWrt1() const;
-
   /// Decodes \p Bytes (WRT2 or legacy WRT1) into \p Out. Returns false
   /// (and sets \p Error when given) on a bad header, truncation,
   /// out-of-range enum values, a corrupt location table, or an access
   /// referencing a location id the table does not define; \p Out is left
-  /// cleared on failure.
+  /// cleared on failure. It also rejects event streams that break the
+  /// HbGraph builder contract replay relies on: operation ids must be
+  /// created densely from 1, an edge must run from an older operation to
+  /// the newest one before any access of that operation (its clock is
+  /// finalized at the first access), and an access must name a created
+  /// operation.
   static bool deserialize(const std::string &Bytes, TraceLog &Out,
                           std::string *Error = nullptr);
 

@@ -49,7 +49,6 @@ Json SamplingStats::toJson() const {
   J.set("dropped", std::move(Dropped));
   Json Passes = Json::object();
   Passes.set("location", LocationPass);
-  Passes.set("pair", PairPass);
   Passes.set("cold", ColdPass);
   Passes.set("hot", HotPass);
   Passes.set("rng", RngPass);
@@ -83,9 +82,6 @@ void RunStats::merge(const RunStats &O) {
     if (!Found)
       HbEdgesByRule.push_back(Theirs);
   }
-  ChcQueries += O.ChcQueries;
-  DfsVisits += O.DfsVisits;
-  DfsMemoHits += O.DfsMemoHits;
   VcChains += O.VcChains;
   ClockBytes += O.ClockBytes;
   ClockMerges += O.ClockMerges;
@@ -96,7 +92,6 @@ void RunStats::merge(const RunStats &O) {
   InternHits += O.InternHits;
   EpochHits += O.EpochHits;
   ReadsSeen += O.ReadsSeen;
-  EpochReads += O.EpochReads;
   ReadInflations += O.ReadInflations;
   ReadDeflations += O.ReadDeflations;
   ReadVectorLocations += O.ReadVectorLocations;
@@ -136,9 +131,6 @@ Json RunStats::toJson() const {
   for (const NamedCount &R : HbEdgesByRule)
     Rules.set(R.Name, R.Count);
   J.set("hb_edges_by_rule", std::move(Rules));
-  J.set("chc_queries", ChcQueries);
-  J.set("dfs_visits", DfsVisits);
-  J.set("dfs_memo_hits", DfsMemoHits);
   J.set("vc_chains", VcChains);
   J.set("clock_bytes", ClockBytes);
   J.set("clock_merges", ClockMerges);
@@ -150,7 +142,6 @@ Json RunStats::toJson() const {
   J.set("epoch_hits", EpochHits);
   Json Epochs = Json::object();
   Epochs.set("reads", ReadsSeen);
-  Epochs.set("epoch_reads", EpochReads);
   Epochs.set("read_inflations", ReadInflations);
   Epochs.set("read_deflations", ReadDeflations);
   Epochs.set("read_vector_locations", ReadVectorLocations);
@@ -195,9 +186,6 @@ void RunStats::exportTo(MetricsRegistry &Registry,
   C("hb_edges", HbEdges);
   for (const NamedCount &R : HbEdgesByRule)
     Registry.counter(Prefix + ".hb_edges_by_rule." + R.Name).inc(R.Count);
-  C("chc_queries", ChcQueries);
-  C("dfs_visits", DfsVisits);
-  C("dfs_memo_hits", DfsMemoHits);
   C("vc_chains", VcChains);
   C("clock_bytes", ClockBytes);
   C("clock_merges", ClockMerges);
@@ -208,7 +196,6 @@ void RunStats::exportTo(MetricsRegistry &Registry,
   C("intern_hits", InternHits);
   C("epoch_hits", EpochHits);
   C("wr_epochs.reads", ReadsSeen);
-  C("wr_epochs.epoch_reads", EpochReads);
   C("wr_epochs.read_inflations", ReadInflations);
   C("wr_epochs.read_deflations", ReadDeflations);
   C("wr_epochs.read_vector_locations", ReadVectorLocations);
@@ -222,7 +209,6 @@ void RunStats::exportTo(MetricsRegistry &Registry,
     C("wr_sampling.dropped.reads", Sampling.DroppedReads);
     C("wr_sampling.dropped.writes", Sampling.DroppedWrites);
     C("wr_sampling.passes.location", Sampling.LocationPass);
-    C("wr_sampling.passes.pair", Sampling.PairPass);
     C("wr_sampling.passes.cold", Sampling.ColdPass);
     C("wr_sampling.passes.hot", Sampling.HotPass);
     C("wr_sampling.passes.rng", Sampling.RngPass);

@@ -93,7 +93,6 @@ struct SamplingStats {
   uint64_t DroppedWrites = 0;
   // Pass reasons (which rule admitted a sampled access).
   uint64_t LocationPass = 0;
-  uint64_t PairPass = 0;
   uint64_t ColdPass = 0;
   uint64_t HotPass = 0;
   uint64_t RngPass = 0;
@@ -115,7 +114,6 @@ struct SamplingStats {
     DroppedReads += O.DroppedReads;
     DroppedWrites += O.DroppedWrites;
     LocationPass += O.LocationPass;
-    PairPass += O.PairPass;
     ColdPass += O.ColdPass;
     HotPass += O.HotPass;
     RngPass += O.RngPass;
@@ -167,10 +165,7 @@ struct RunStats {
   uint64_t HbEdges = 0;
   std::vector<NamedCount> HbEdgesByRule; ///< Nonzero rules, enum order.
 
-  // Reachability machinery.
-  uint64_t ChcQueries = 0;
-  uint64_t DfsVisits = 0;
-  uint64_t DfsMemoHits = 0;
+  // Vector-clock index.
   uint64_t VcChains = 0;
   uint64_t ClockBytes = 0;   ///< Bytes held by the vector-clock arena.
   uint64_t ClockMerges = 0;  ///< Merges that materialized a clock slab.
@@ -181,10 +176,9 @@ struct RunStats {
   uint64_t TrackedLocations = 0;
   uint64_t InternedLocations = 0; ///< Distinct locations in the interner.
   uint64_t InternHits = 0;        ///< Intern lookups that found an id.
-  uint64_t EpochHits = 0;         ///< HB questions answered without a CHC query.
+  uint64_t EpochHits = 0;         ///< CHC questions (each answered in O(1)).
   // Adaptive read-epoch representation (the "wr_epochs" report group).
   uint64_t ReadsSeen = 0;           ///< Read accesses among AccessesSeen.
-  uint64_t EpochReads = 0;          ///< Reads whose CHC check stayed O(1).
   uint64_t ReadInflations = 0;      ///< Read-state epoch -> vector inflations.
   uint64_t ReadDeflations = 0;      ///< Read-state vector -> empty deflations.
   uint64_t ReadVectorLocations = 0; ///< Locations whose read state ever inflated.

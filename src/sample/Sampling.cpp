@@ -11,8 +11,6 @@ const char *wr::sample::toString(SamplingStrategy S) {
   switch (S) {
   case SamplingStrategy::PerLocation:
     return "per-location";
-  case SamplingStrategy::PerPair:
-    return "per-pair";
   case SamplingStrategy::Adaptive:
     return "adaptive";
   }
@@ -25,10 +23,6 @@ bool wr::sample::parseSamplingStrategy(const char *Name,
     Out = SamplingStrategy::PerLocation;
     return true;
   }
-  if (std::strcmp(Name, "per-pair") == 0) {
-    Out = SamplingStrategy::PerPair;
-    return true;
-  }
   if (std::strcmp(Name, "adaptive") == 0) {
     Out = SamplingStrategy::Adaptive;
     return true;
@@ -38,8 +32,8 @@ bool wr::sample::parseSamplingStrategy(const char *Name,
 
 namespace {
 
-/// splitmix64 finalizer: the stateless hash behind the per-location and
-/// per-pair decisions (the same mixer Rng::reseed uses, so hash quality
+/// splitmix64 finalizer: the stateless hash behind the per-location
+/// decision (the same mixer Rng::reseed uses, so hash quality
 /// matches the stream).
 uint64_t mix64(uint64_t X) {
   X += 0x9e3779b97f4a7c15ull;
@@ -76,8 +70,7 @@ void AccessSampler::markHot(LocId Loc) {
   }
 }
 
-bool AccessSampler::decide(const Access &A, OpId PriorWriteOp,
-                           ClockEpoch PriorWriteEpoch, ClockEpoch CurEpoch) {
+bool AccessSampler::decide(const Access &A) {
   switch (Opts.Strategy) {
   case SamplingStrategy::PerLocation: {
     // One hash per location: the whole location is in or out, so a kept
@@ -85,29 +78,6 @@ bool AccessSampler::decide(const Access &A, OpId PriorWriteOp,
     if (!hashPasses(mix64(Opts.Seed ^ (0x1000193ull * A.Loc))))
       return false;
     ++Counters.LocationPass;
-    return true;
-  }
-  case SamplingStrategy::PerPair: {
-    // No prior writer stored: nothing to pair against; the access must
-    // pass or no slot ever fills and no pair ever forms.
-    if (PriorWriteOp == InvalidOpId) {
-      ++Counters.PairPass;
-      return true;
-    }
-    // Key the pair on clock epochs when the oracle recorded them (stable
-    // across OpId numbering - the epoch-aware hook of the hb layer),
-    // falling back to raw operation ids otherwise.
-    uint64_t K1, K2;
-    if (PriorWriteEpoch.Pos != 0 && CurEpoch.Pos != 0) {
-      K1 = PriorWriteEpoch.packed();
-      K2 = CurEpoch.packed();
-    } else {
-      K1 = PriorWriteOp;
-      K2 = A.Op;
-    }
-    if (!hashPasses(mix64(mix64(Opts.Seed ^ K1) ^ K2)))
-      return false;
-    ++Counters.PairPass;
     return true;
   }
   case SamplingStrategy::Adaptive: {
@@ -132,12 +102,10 @@ bool AccessSampler::decide(const Access &A, OpId PriorWriteOp,
   return true;
 }
 
-bool AccessSampler::shouldSample(const Access &A, OpId PriorWriteOp,
-                                 ClockEpoch PriorWriteEpoch,
-                                 ClockEpoch CurEpoch) {
+bool AccessSampler::shouldSample(const Access &A) {
   bool IsRead = A.Kind == AccessKind::Read;
   (IsRead ? Counters.SeenReads : Counters.SeenWrites) += 1;
-  bool Keep = decide(A, PriorWriteOp, PriorWriteEpoch, CurEpoch);
+  bool Keep = decide(A);
   if (Keep)
     (IsRead ? Counters.SampledReads : Counters.SampledWrites) += 1;
   else

@@ -12,19 +12,13 @@
 /// when only a fraction of the access stream can be observed
 /// ("Dynamic Race Detection with O(1) Samples", PAPERS.md).
 ///
-/// Three strategies:
+/// Two strategies:
 ///
 ///  * PerLocation - a deterministic hash of the LocId against the rate:
 ///    a location is entirely in or entirely out, so kept locations see
 ///    their exact full access history (reader sets and prior-read flags
 ///    stay exact) and expected recall tracks the rate. The baseline of
 ///    the frontier.
-///  * PerPair - samples the (prior-writer, current-op) pair space, the
-///    RPT idea: every pair of a location's access stream gets an
-///    independent chance, so hot locations cannot monopolize the budget.
-///    Under an epoch-capable oracle the pair is keyed on the two
-///    operations' (chain, pos) clock epochs (ClockEpoch::packed()),
-///    making keys stable across OpId numbering; otherwise raw OpIds.
 ///  * Adaptive - cold-region biasing: a location's first ColdAccesses
 ///    accesses always pass, a location whose read state inflated or
 ///    which raced gets a HotBudget-access window (decaying per access),
@@ -50,7 +44,6 @@
 #ifndef WEBRACER_SAMPLE_SAMPLING_H
 #define WEBRACER_SAMPLE_SAMPLING_H
 
-#include "hb/HbGraph.h"
 #include "mem/Location.h"
 #include "support/Rng.h"
 
@@ -60,7 +53,7 @@
 namespace wr::sample {
 
 /// The pluggable sampling strategies (CLI spellings in toString()).
-enum class SamplingStrategy : uint8_t { PerLocation, PerPair, Adaptive };
+enum class SamplingStrategy : uint8_t { PerLocation, Adaptive };
 
 const char *toString(SamplingStrategy S);
 
@@ -100,7 +93,6 @@ struct SamplerCounters {
   uint64_t DroppedWrites = 0;
   // Pass reasons (which rule admitted a sampled access).
   uint64_t LocationPass = 0; ///< Per-location: the LocId hash passed.
-  uint64_t PairPass = 0;     ///< Per-pair: the pair hash passed (or no prior).
   uint64_t ColdPass = 0;     ///< Adaptive: within the first-K cold window.
   uint64_t HotPass = 0;      ///< Adaptive: a hot location's budget passed it.
   uint64_t RngPass = 0;      ///< Adaptive: the background coin passed it.
@@ -115,13 +107,7 @@ public:
   explicit AccessSampler(const SamplingOptions &Opts);
 
   /// Decides whether the detector processes \p A and counts the outcome.
-  /// \p PriorWriteOp / \p PriorWriteEpoch describe the operation stored
-  /// in the location's last-write slot (InvalidOpId / default epoch when
-  /// none); \p CurEpoch is the current op's epoch under an epoch-capable
-  /// oracle (default-constructed sentinel otherwise). Only the per-pair
-  /// strategy reads them.
-  bool shouldSample(const Access &A, OpId PriorWriteOp,
-                    ClockEpoch PriorWriteEpoch, ClockEpoch CurEpoch);
+  bool shouldSample(const Access &A);
 
   /// Heat feedback: \p Loc's read state inflated (concurrent readers).
   void noteInflation(LocId Loc) { markHot(Loc); }
@@ -143,8 +129,7 @@ private:
     bool EverHot = false;
   };
 
-  bool decide(const Access &A, OpId PriorWriteOp, ClockEpoch PriorWriteEpoch,
-              ClockEpoch CurEpoch);
+  bool decide(const Access &A);
   LocHeat &heat(LocId Id);
   void markHot(LocId Loc);
   /// Maps a 64-bit hash onto [0, 1) and compares against the rate (the

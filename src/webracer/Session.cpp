@@ -9,10 +9,9 @@ using namespace wr::webracer;
 
 Session::Session(SessionOptions Options) : Opts(Options) {
   B = std::make_unique<rt::Browser>(Opts.Browser);
-  // The live detector always runs under observed happens-before; the
-  // engine choice selects the graph strategy here and the predictive
-  // passes (which need the recorded trace) in run().
-  B->hb().setUseVectorClocks(Opts.Detector.Engine != EngineKind::HbDfs);
+  // The live detector always runs under observed happens-before; a
+  // predictive engine only adds the passes (which need the recorded
+  // trace) in run().
   if (Opts.ExpectedOperations)
     B->hb().reserveOperations(Opts.ExpectedOperations);
   D = std::make_unique<detect::RaceDetector>(B->hb(), B->interner(),
@@ -71,9 +70,6 @@ SessionResult Session::run(const std::string &Url) {
     if (uint64_t N = Hb.edgesByRule()[I])
       S.HbEdgesByRule.push_back(
           {wr::toString(static_cast<HbRule>(I)), N});
-  S.ChcQueries = D->chcQueries();
-  S.DfsVisits = Hb.dfsVisitCount();
-  S.DfsMemoHits = Hb.memoHits();
   S.VcChains = Hb.numChains();
   S.ClockBytes = Hb.clockBytes();
   S.ClockMerges = Hb.clockMerges();
@@ -84,7 +80,6 @@ SessionResult Session::run(const std::string &Url) {
   S.InternHits = B->interner().hits();
   S.EpochHits = D->epochHits();
   S.ReadsSeen = D->readsSeen();
-  S.EpochReads = D->epochReads();
   S.ReadInflations = D->readInflations();
   S.ReadDeflations = D->readDeflations();
   S.ReadVectorLocations = D->readVectorLocations();

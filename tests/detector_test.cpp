@@ -282,30 +282,28 @@ TEST_F(DetectorTest, CountByKind) {
 }
 
 TEST_F(DetectorTest, ChcQueriesCounted) {
+  // Every CHC question counts once in epochHits: a write poses two
+  // (vs LastWrite, vs LastRead), a read one (vs LastWrite).
   OpId A = op(), B = op();
-  Hb.setUseVectorClocks(false); // Legacy path: no epoch probes.
   RaceDetector D(Hb, Interner);
-  D.onMemoryAccess(write(A, "x"));
-  EXPECT_EQ(D.chcQueries(), 0u); // ⊥ slot: no query needed... but the
-  // map lookup finds nothing, so no CHC call either.
-  D.onMemoryAccess(read(B, "x"));
-  EXPECT_EQ(D.chcQueries(), 1u);
+  D.onMemoryAccess(write(A, "x")); // Both slots ⊥.
+  EXPECT_EQ(D.epochHits(), 2u);
+  D.onMemoryAccess(read(B, "x")); // One epoch probe: concurrent.
+  EXPECT_EQ(D.epochHits(), 3u);
+  EXPECT_EQ(D.races().size(), 1u);
 }
 
 TEST_F(DetectorTest, EpochOracleAnswersWithoutGenericQueries) {
-  // Under the vector-clock strategy every CHC question is one O(1)
-  // epoch probe: chcQueries stays 0, every question lands in epochHits,
-  // and every read resolves on the epoch path.
+  // Every CHC question is one O(1) epoch probe against the graph's clock
+  // index, and every question lands in epochHits.
   OpId A = op(), B = op(), C = op();
   edge(A, C);
   RaceDetector D(Hb, Interner);
   D.onMemoryAccess(write(A, "x"));
   D.onMemoryAccess(read(C, "x")); // Ordered: no race.
   D.onMemoryAccess(read(B, "x")); // Concurrent with the write: race.
-  EXPECT_EQ(D.chcQueries(), 0u);
-  EXPECT_GT(D.epochHits(), 0u);
+  EXPECT_EQ(D.epochHits(), 4u);
   EXPECT_EQ(D.readsSeen(), 2u);
-  EXPECT_EQ(D.epochReads(), 2u);
   ASSERT_EQ(D.races().size(), 1u);
   EXPECT_EQ(D.races()[0].Second.Op, B);
 }
@@ -338,57 +336,20 @@ TEST_F(DetectorTest, TrackedLocationsFullHistoryMode) {
   EXPECT_EQ(D.trackedLocations(), 2u);
 }
 
-TEST_F(DetectorTest, PairCacheAnswersRepeatedPairsAcrossLocations) {
-  OpId A = op(), B = op();
-  Hb.setUseVectorClocks(false); // Pair cache only backs the legacy path.
-  DetectorOptions Opts;
-  Opts.OnePerLocation = false;
-  RaceDetector D(Hb, Interner, Opts);
-  D.onMemoryAccess(write(A, "x"));
-  D.onMemoryAccess(read(B, "x"));
-  EXPECT_EQ(D.chcQueries(), 1u);
-  EXPECT_EQ(D.races().size(), 1u);
-  // The same (A, B) question on another location hits the pair cache -
-  // no new oracle query, but the race is still reported.
-  D.onMemoryAccess(write(A, "y"));
-  D.onMemoryAccess(read(B, "y"));
-  EXPECT_EQ(D.chcQueries(), 1u);
-  EXPECT_GT(D.epochHits(), 0u);
-  EXPECT_EQ(D.races().size(), 2u);
-}
-
 TEST_F(DetectorTest, ReportedLocationSkipsOracleEntirely) {
   OpId A = op(), B = op(), C = op();
   RaceDetector D(Hb, Interner);
   D.onMemoryAccess(write(A, "x"));
   D.onMemoryAccess(read(B, "x"));
   ASSERT_EQ(D.races().size(), 1u);
-  uint64_t Queries = D.chcQueries();
+  uint64_t Hits = D.epochHits();
   // One-per-location already fired: later accesses to x can't change
-  // any output, so no ordering question reaches the oracle.
+  // any output, so their questions (one read, two write) are answered
+  // without a probe and C's concurrent write reports nothing.
   D.onMemoryAccess(read(C, "x"));
   D.onMemoryAccess(write(C, "x"));
-  EXPECT_EQ(D.chcQueries(), Queries);
-  EXPECT_GT(D.epochHits(), 0u);
+  EXPECT_EQ(D.epochHits(), Hits + 3);
   EXPECT_EQ(D.races().size(), 1u);
-}
-
-TEST_F(DetectorTest, SlotEpochCacheAnswersSameOpRecheck) {
-  OpId A = op(), B = op();
-  edge(A, B); // Ordered: the verdict is "not concurrent".
-  Hb.setUseVectorClocks(false); // Distinguish the slot cache from epochs.
-  DetectorOptions Opts;
-  Opts.OnePerLocation = false;
-  RaceDetector D(Hb, Interner, Opts);
-  D.onMemoryAccess(write(A, "x"));
-  D.onMemoryAccess(read(B, "x"));
-  uint64_t Queries = D.chcQueries();
-  // B reads x again: LastWrite slot still holds A and was just checked
-  // against B, so the slot's epoch verdict answers without the cache map.
-  D.onMemoryAccess(read(B, "x"));
-  EXPECT_EQ(D.chcQueries(), Queries);
-  EXPECT_GT(D.epochHits(), 0u);
-  EXPECT_TRUE(D.races().empty());
 }
 
 TEST_F(DetectorTest, SameEpochReReadStaysEpochRepresentation) {
@@ -442,7 +403,6 @@ TEST_F(DetectorTest, WriteAfterConcurrentReadsStillRacesWhenUnordered) {
   D.onMemoryAccess(write(C, "x"));
   ASSERT_EQ(D.races().size(), 1u);
   EXPECT_EQ(D.races()[0].First.Op, B); // LastRead held B.
-  EXPECT_EQ(D.chcQueries(), 0u);       // All answered by epoch probes.
 }
 
 TEST_F(DetectorTest, DeflationShortcutSkipsReadCheckSoundly) {
@@ -462,7 +422,6 @@ TEST_F(DetectorTest, DeflationShortcutSkipsReadCheckSoundly) {
   // C is concurrent with everything: both slot checks race.
   D.onMemoryAccess(write(C, "x"));
   EXPECT_EQ(D.races().size(), 1u); // vs LastWrite E (write-write).
-  EXPECT_EQ(D.chcQueries(), 0u);
 }
 
 TEST_F(DetectorTest, InlineDispatchNestedReadDoesNotInflate) {

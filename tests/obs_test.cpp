@@ -165,14 +165,12 @@ RunStats sampleStats(uint64_t Scale) {
   S.Operations = 10 * Scale;
   S.HbEdges = 20 * Scale;
   S.HbEdgesByRule = {{"rule A", 2 * Scale}, {"rule B", 3 * Scale}};
-  S.ChcQueries = 5 * Scale;
   S.AccessesSeen = 7 * Scale;
   S.TrackedLocations = 4 * Scale;
   S.InternedLocations = 6 * Scale;
   S.InternHits = 8 * Scale;
   S.EpochHits = 9 * Scale;
   S.ReadsSeen = 12 * Scale;
-  S.EpochReads = 13 * Scale;
   S.ReadInflations = 14 * Scale;
   S.ReadDeflations = 15 * Scale;
   S.ReadVectorLocations = 16 * Scale;
@@ -191,14 +189,12 @@ TEST(RunStatsTest, MergeSumsEveryField) {
   A.merge(sampleStats(2));
   EXPECT_EQ(A.Operations, 30u);
   EXPECT_EQ(A.HbEdges, 60u);
-  EXPECT_EQ(A.ChcQueries, 15u);
   EXPECT_EQ(A.AccessesSeen, 21u);
   EXPECT_EQ(A.TrackedLocations, 12u);
   EXPECT_EQ(A.InternedLocations, 18u);
   EXPECT_EQ(A.InternHits, 24u);
   EXPECT_EQ(A.EpochHits, 27u);
   EXPECT_EQ(A.ReadsSeen, 36u);
-  EXPECT_EQ(A.EpochReads, 39u);
   EXPECT_EQ(A.ReadInflations, 42u);
   EXPECT_EQ(A.ReadDeflations, 45u);
   EXPECT_EQ(A.ReadVectorLocations, 48u);

@@ -11,11 +11,11 @@
 //    earlier one, WCP's dispatch-atomicity edge dropping, and the
 //    creation-edge substitution that keeps every interval callback
 //    anchored to its registration.
-//  * Engine-selection plumbing: enginesToPredict and the deprecated
-//    UseVectorClocks forwarders in ReplayOptions/SessionOptions.
-//  * Replay equivalence: a recorded session trace (round-tripped through
-//    the legacy WRT1 encoding) replays to byte-identical observed races
-//    under every engine - prediction never perturbs observation.
+//  * Engine-selection plumbing: enginesToPredict and predictEffective in
+//    ReplayOptions/SessionOptions.
+//  * Replay equivalence: the checked-in Fig. 1 recording in the legacy
+//    WRT1 encoding replays to byte-identical observed races under every
+//    engine - prediction never perturbs observation.
 //  * Session-level gates over the seeded corpus patterns: SHB dominates
 //    the first-race-only observed run on PostFirstRaceBenign, and WCP's
 //    predictions are a strict superset of SHB's on IntervalSkipBenign.
@@ -32,7 +32,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -82,7 +84,6 @@ TEST(ShbEngineTest, KeptEdgesOrderLikeHappensBefore) {
   EXPECT_TRUE(E.concurrent(2, 3));
   EXPECT_TRUE(E.happensBefore(1, 3));
   EXPECT_EQ(E.droppedEdges(), 0u);
-  EXPECT_FALSE(E.cacheableVerdicts());
 }
 
 TEST(ShbEngineTest, WriteReadJoinOrdersLaterIdBeforeEarlier) {
@@ -197,8 +198,6 @@ TEST(WcpEngineTest, OnlyDispatchRulesWeaken) {
 TEST(EngineSelectionTest, EnginesToPredict) {
   EXPECT_EQ(enginesToPredict(EngineKind::Hb),
             (std::vector<EngineKind>{EngineKind::Shb, EngineKind::Wcp}));
-  EXPECT_EQ(enginesToPredict(EngineKind::HbDfs),
-            (std::vector<EngineKind>{EngineKind::Shb, EngineKind::Wcp}));
   EXPECT_EQ(enginesToPredict(EngineKind::Shb),
             (std::vector<EngineKind>{EngineKind::Shb}));
   EXPECT_EQ(enginesToPredict(EngineKind::Wcp),
@@ -206,13 +205,10 @@ TEST(EngineSelectionTest, EnginesToPredict) {
 }
 
 TEST(EngineSelectionTest, EngineDrivesPredictionAndStrategy) {
-  // Detector.Engine is the single source of truth (the UseVectorClocks
-  // forwarders are gone): predictive engines imply prediction, HB
-  // engines predict only when asked.
+  // Detector.Engine is the single source of truth: predictive engines
+  // imply prediction, the HB engine predicts only when asked.
   ReplayOptions R;
   EXPECT_EQ(R.Detector.Engine, EngineKind::Hb);
-  EXPECT_FALSE(R.predictEffective());
-  R.Detector.Engine = EngineKind::HbDfs;
   EXPECT_FALSE(R.predictEffective());
   R.Detector.Engine = EngineKind::Shb;
   EXPECT_TRUE(R.predictEffective());
@@ -353,32 +349,31 @@ std::string racesJson(const std::vector<Race> &Races, const HbGraph &Hb) {
 }
 
 TEST(PredictionReplayTest, LegacyTraceObservedRacesAgreeAcrossEngines) {
-  // Record a session over both prediction seeds, round-trip the trace
-  // through the legacy WRT1 encoding, then replay under every engine:
-  // the observed race report must be byte-identical - engines only add
-  // predictions, they never change what was observed.
-  sites::SiteSpec Spec;
-  Spec.Name = "prediction";
-  Spec.Patterns.push_back({sites::PatternKind::PostFirstRaceBenign, 1});
-  Spec.Patterns.push_back({sites::PatternKind::IntervalSkipBenign, 1});
-  sites::GeneratedSite Site = sites::buildSite(Spec);
-
+  // Replay the checked-in WRT1 recording of the Fig. 1 page under every
+  // engine: the observed race report must be byte-identical - engines
+  // only add predictions, they never change what was observed.
   webracer::SessionOptions Opts;
-  Opts.RecordTrace = true;
   webracer::Session S(Opts);
-  S.network().addResource(Site.IndexUrl, Site.Html, 10);
-  webracer::SessionResult Online = S.run(Site.IndexUrl);
-  ASSERT_NE(S.trace(), nullptr);
+  S.network().addResource("index.html",
+                          "<script>x = 1;</script>"
+                          "<iframe src=\"a.html\"></iframe>"
+                          "<iframe src=\"b.html\"></iframe>",
+                          10);
+  S.network().addResource("a.html", "<script>x = 2;</script>", 1000);
+  S.network().addResource("b.html", "<script>alert(x);</script>", 2000);
+  webracer::SessionResult Online = S.run("index.html");
   ASSERT_FALSE(Online.RawRaces.empty());
 
-  std::string Bytes = S.trace()->serializeLegacyWrt1();
+  std::ifstream Fixture(std::string(WR_TRACE_DIR) + "/fig1.wrt1",
+                        std::ios::binary);
+  std::ostringstream Bytes;
+  Bytes << Fixture.rdbuf();
   TraceLog Log;
   std::string Error;
-  ASSERT_TRUE(TraceLog::deserialize(Bytes, Log, &Error)) << Error;
+  ASSERT_TRUE(TraceLog::deserialize(Bytes.str(), Log, &Error)) << Error;
 
   std::string RawGolden, FilteredGolden;
-  for (EngineKind Kind : {EngineKind::Hb, EngineKind::HbDfs, EngineKind::Shb,
-                          EngineKind::Wcp}) {
+  for (EngineKind Kind : {EngineKind::Hb, EngineKind::Shb, EngineKind::Wcp}) {
     ReplayOptions RO;
     RO.Detector.Engine = Kind;
     ReplayResult R = replayTrace(Log, RO);

@@ -3,9 +3,9 @@
 // The src/sample contract, from the unit up:
 //
 //  * AccessSampler strategy behavior: per-location decisions are a pure
-//    function of the location, per-pair always admits first-writer
-//    pairs, adaptive always admits a location's first K accesses and
-//    heat-marked locations, and the counters partition exactly.
+//    function of the location, adaptive always admits a location's first
+//    K accesses and heat-marked locations, and the counters partition
+//    exactly.
 //  * Detector integration: rate 1.0 constructs no sampler and changes no
 //    bytes (the fig golden file stays byte-identical); below 1.0 the
 //    detector processes exactly the admitted accesses.
@@ -53,11 +53,9 @@ TEST(AccessSamplerTest, PerLocationDecisionIsAFunctionOfTheLocation) {
   // Whatever the verdict for a location is, it never changes across
   // repeated accesses, operations, or access kinds.
   for (LocId Loc = 0; Loc < 64; ++Loc) {
-    bool First = S.shouldSample(makeAccess(1, Loc, AccessKind::Read),
-                                InvalidOpId, {}, {});
+    bool First = S.shouldSample(makeAccess(1, Loc, AccessKind::Read));
     for (OpId Op = 2; Op < 6; ++Op)
-      EXPECT_EQ(S.shouldSample(makeAccess(Op, Loc, AccessKind::Write),
-                               InvalidOpId, {}, {}),
+      EXPECT_EQ(S.shouldSample(makeAccess(Op, Loc, AccessKind::Write)),
                 First);
   }
   // Rate 0.5 over 64 locations keeps a nontrivial subset of both sides.
@@ -72,28 +70,10 @@ TEST(AccessSamplerTest, RateZeroPerLocationDropsEverything) {
   Opts.Rate = 0.0;
   AccessSampler S(Opts);
   for (LocId Loc = 0; Loc < 32; ++Loc)
-    EXPECT_FALSE(S.shouldSample(makeAccess(1, Loc, AccessKind::Read),
-                                InvalidOpId, {}, {}));
+    EXPECT_FALSE(S.shouldSample(makeAccess(1, Loc, AccessKind::Read)));
   EXPECT_EQ(S.counters().SeenReads, 32u);
   EXPECT_EQ(S.counters().DroppedReads, 32u);
   EXPECT_EQ(S.counters().SampledReads, 0u);
-}
-
-TEST(AccessSamplerTest, PerPairAlwaysAdmitsFirstWriterPairs) {
-  SamplingOptions Opts;
-  Opts.Strategy = SamplingStrategy::PerPair;
-  Opts.Rate = 0.0; // Only the forced first-pair admissions survive.
-  AccessSampler S(Opts);
-  // No prior writer recorded: the pair does not exist yet, so the access
-  // must reach the detector (otherwise no pair could ever form).
-  EXPECT_TRUE(S.shouldSample(makeAccess(3, 7, AccessKind::Write),
-                             InvalidOpId, {}, {}));
-  EXPECT_EQ(S.counters().PairPass, 1u);
-  // With a prior writer and rate 0, the pair hash can never pass.
-  EXPECT_FALSE(S.shouldSample(makeAccess(4, 7, AccessKind::Read),
-                              /*PriorWriteOp=*/3, {}, {}));
-  EXPECT_EQ(S.counters().SampledWrites, 1u);
-  EXPECT_EQ(S.counters().DroppedReads, 1u);
 }
 
 TEST(AccessSamplerTest, AdaptiveColdStartAndHeatFeedback) {
@@ -106,20 +86,15 @@ TEST(AccessSamplerTest, AdaptiveColdStartAndHeatFeedback) {
   LocId Loc = 11;
   // First ColdAccesses accesses always admitted.
   for (int I = 0; I < 3; ++I)
-    EXPECT_TRUE(S.shouldSample(makeAccess(1, Loc, AccessKind::Read),
-                               InvalidOpId, {}, {}));
+    EXPECT_TRUE(S.shouldSample(makeAccess(1, Loc, AccessKind::Read)));
   EXPECT_EQ(S.counters().ColdPass, 3u);
   // Past the cold window at rate 0: dropped.
-  EXPECT_FALSE(S.shouldSample(makeAccess(2, Loc, AccessKind::Read),
-                              InvalidOpId, {}, {}));
+  EXPECT_FALSE(S.shouldSample(makeAccess(2, Loc, AccessKind::Read)));
   // A race on the location re-arms it for HotBudget accesses.
   S.noteRace(Loc);
-  EXPECT_TRUE(S.shouldSample(makeAccess(3, Loc, AccessKind::Write),
-                             InvalidOpId, {}, {}));
-  EXPECT_TRUE(S.shouldSample(makeAccess(4, Loc, AccessKind::Read),
-                             InvalidOpId, {}, {}));
-  EXPECT_FALSE(S.shouldSample(makeAccess(5, Loc, AccessKind::Read),
-                              InvalidOpId, {}, {}));
+  EXPECT_TRUE(S.shouldSample(makeAccess(3, Loc, AccessKind::Write)));
+  EXPECT_TRUE(S.shouldSample(makeAccess(4, Loc, AccessKind::Read)));
+  EXPECT_FALSE(S.shouldSample(makeAccess(5, Loc, AccessKind::Read)));
   EXPECT_EQ(S.counters().HotPass, 2u);
   EXPECT_EQ(S.counters().HotLocations, 1u);
   // Inflation heat marks a different location the same way, counted once
@@ -138,16 +113,14 @@ TEST(AccessSamplerTest, CountersPartitionExactly) {
   for (int I = 0; I < 500; ++I)
     S.shouldSample(makeAccess(1 + static_cast<OpId>(I % 7),
                               static_cast<LocId>(I % 23),
-                              I % 3 ? AccessKind::Read : AccessKind::Write),
-                   InvalidOpId, {}, {});
+                              I % 3 ? AccessKind::Read : AccessKind::Write));
   const sample::SamplerCounters &C = S.counters();
   EXPECT_EQ(C.SeenReads + C.SeenWrites, 500u);
   EXPECT_EQ(C.SeenReads, C.SampledReads + C.DroppedReads);
   EXPECT_EQ(C.SeenWrites, C.SampledWrites + C.DroppedWrites);
   // Every admission was attributed to exactly one pass counter.
   EXPECT_EQ(C.SampledReads + C.SampledWrites,
-            C.LocationPass + C.PairPass + C.ColdPass + C.HotPass +
-                C.RngPass);
+            C.LocationPass + C.ColdPass + C.HotPass + C.RngPass);
 }
 
 TEST(RaceDetectorSamplingTest, RateOneConstructsNoSampler) {
@@ -214,7 +187,7 @@ TEST(RaceDetectorSamplingTest, RateOneReportsMatchGoldenFile) {
   // the same golden bytes report_schema_test locks down, no wr_sampling
   // section, regardless of the configured strategy.
   SamplingOptions Sampling;
-  Sampling.Strategy = SamplingStrategy::PerPair;
+  Sampling.Strategy = SamplingStrategy::PerLocation;
   Sampling.Rate = 1.0;
   Sampling.Seed = 99;
   std::string Actual = figureReportsDocument(Sampling);

@@ -226,15 +226,13 @@ std::vector<EngineKind> allEngineKinds() {
   auto Covered = [](EngineKind K) {
     switch (K) {
     case EngineKind::Hb:
-    case EngineKind::HbDfs:
     case EngineKind::Shb:
     case EngineKind::Wcp:
       return K;
     }
     return K;
   };
-  for (EngineKind K : {EngineKind::Hb, EngineKind::HbDfs, EngineKind::Shb,
-                       EngineKind::Wcp})
+  for (EngineKind K : {EngineKind::Hb, EngineKind::Shb, EngineKind::Wcp})
     All.push_back(Covered(K));
   return All;
 }
@@ -262,15 +260,13 @@ std::vector<sample::SamplingStrategy> allSamplingStrategies() {
   auto Covered = [](SamplingStrategy S) {
     switch (S) {
     case SamplingStrategy::PerLocation:
-    case SamplingStrategy::PerPair:
     case SamplingStrategy::Adaptive:
       return S;
     }
     return S;
   };
   for (SamplingStrategy S :
-       {SamplingStrategy::PerLocation, SamplingStrategy::PerPair,
-        SamplingStrategy::Adaptive})
+       {SamplingStrategy::PerLocation, SamplingStrategy::Adaptive})
     All.push_back(Covered(S));
   return All;
 }
@@ -400,10 +396,10 @@ TEST(ToStringExhaustiveTest, SamplingStrategyNamesRoundTripThroughParse) {
         << sample::toString(S);
     EXPECT_EQ(Parsed, S);
   }
-  sample::SamplingStrategy Untouched = sample::SamplingStrategy::PerPair;
-  EXPECT_FALSE(sample::parseSamplingStrategy("unknown", Untouched));
+  sample::SamplingStrategy Untouched = sample::SamplingStrategy::PerLocation;
+  EXPECT_FALSE(sample::parseSamplingStrategy("per-pair", Untouched));
   EXPECT_FALSE(sample::parseSamplingStrategy("", Untouched));
-  EXPECT_EQ(Untouched, sample::SamplingStrategy::PerPair);
+  EXPECT_EQ(Untouched, sample::SamplingStrategy::PerLocation);
 }
 
 TEST(ToStringExhaustiveTest, OrderingNamesAreComplete) {

@@ -4,7 +4,9 @@
 //
 //  * the binary format round-trips losslessly (and re-serializes to the
 //    exact same bytes),
-//  * corrupt or truncated input is rejected cleanly,
+//  * corrupt or truncated input is rejected cleanly, and so is an event
+//    stream that breaks the graph builder's contract (the checked-in
+//    traces under tests/traces/malformed),
 //  * replaying a recorded trace through the detector and filters is
 //    byte-identical to the online run that recorded it, and
 //  * the thread-pool corpus driver produces the same results at any job
@@ -12,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "DfsReference.h"
 #include "detect/Report.h"
 #include "detect/TraceReplay.h"
 #include "instr/TraceLog.h"
@@ -19,6 +22,9 @@
 #include "webracer/Session.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace wr;
 using namespace wr::webracer;
@@ -41,6 +47,14 @@ void registerFig1(rt::NetworkSimulator &Net) {
                   10);
   Net.addResource("a.html", "<script>x = 2;</script>", 1000);
   Net.addResource("b.html", "<script>alert(x);</script>", 2000);
+}
+
+/// Bytes of a checked-in trace under tests/traces.
+std::string traceFixture(const std::string &Name) {
+  std::ifstream In(std::string(WR_TRACE_DIR) + "/" + Name, std::ios::binary);
+  std::ostringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
 }
 
 void expectEventsEqual(const TraceEvent &A, const TraceEvent &B) {
@@ -153,6 +167,7 @@ TEST(TraceSerdeTest, RejectsOutOfRangeEnums) {
 
 TEST(TraceSerdeTest, RejectsCorruptLocationTable) {
   TraceLog Log;
+  Log.onOperationCreated(1, Operation());
   Access A;
   A.Kind = AccessKind::Write;
   A.Op = 1;
@@ -186,12 +201,74 @@ TEST(TraceSerdeTest, RejectsCorruptLocationTable) {
   EXPECT_TRUE(Out.empty());
 }
 
+/// Decodes \p Bytes, expecting a builder-contract rejection whose
+/// message contains \p Needle.
+void expectContractRejection(const std::string &Bytes,
+                             const std::string &Needle) {
+  TraceLog Out;
+  Out.onOperationBegin(99); // Pre-populate to observe clearing.
+  std::string Error;
+  EXPECT_FALSE(TraceLog::deserialize(Bytes, Out, &Error));
+  EXPECT_NE(Error.find(Needle), std::string::npos) << Error;
+  EXPECT_TRUE(Out.empty());
+}
+
+TEST(TraceSerdeTest, RejectsNonDenseOperationIds) {
+  expectContractRejection(traceFixture("malformed/op-ids-not-dense.wrt"),
+                          "created out of order");
+  TraceLog Log;
+  Log.onOperationCreated(2, Operation()); // Ids start at 1.
+  expectContractRejection(Log.serialize(), "created out of order");
+}
+
+TEST(TraceSerdeTest, RejectsEdgeNotIntoNewestOperation) {
+  expectContractRejection(traceFixture("malformed/edge-to-unknown-op.wrt"),
+                          "does not target the newest operation");
+  TraceLog Log;
+  Log.onOperationCreated(1, Operation());
+  Log.onOperationCreated(2, Operation());
+  Log.onOperationCreated(3, Operation());
+  Log.onHbEdge(1, 2, HbRule::RProgram); // 2 is no longer the newest.
+  expectContractRejection(Log.serialize(),
+                          "does not target the newest operation");
+}
+
+TEST(TraceSerdeTest, RejectsEdgeFromNonOlderOperation) {
+  for (OpId From : {InvalidOpId, OpId(2)}) {
+    TraceLog Log;
+    Log.onOperationCreated(1, Operation());
+    Log.onOperationCreated(2, Operation());
+    Log.onHbEdge(From, 2, HbRule::RProgram);
+    expectContractRejection(Log.serialize(),
+                            "does not run from an older operation");
+  }
+}
+
+TEST(TraceSerdeTest, RejectsEdgeAfterAccessOfItsTarget) {
+  expectContractRejection(traceFixture("malformed/edge-after-access.wrt"),
+                          "follows an access of its target");
+}
+
+TEST(TraceSerdeTest, RejectsAccessOfUncreatedOperation) {
+  expectContractRejection(
+      traceFixture("malformed/access-to-uncreated-op.wrt"),
+      "access names operation 5, but only 3 exist");
+  TraceLog Log;
+  Log.onOperationCreated(1, Operation());
+  Access A;
+  A.Op = InvalidOpId;
+  A.Loc = Log.interner().intern(JSVarLoc{0, "x"});
+  Log.onMemoryAccess(A);
+  expectContractRejection(Log.serialize(), "access names operation 0");
+}
+
 TEST(TraceSerdeTest, LegacyWrt1RoundTripsWithIdenticalIds) {
   Session S(recordingOptions());
   registerFig1(S.network());
   S.run("index.html");
   const TraceLog &Log = *S.trace();
-  std::string Legacy = Log.serializeLegacyWrt1();
+  // The same Fig. 1 run, recorded in the legacy WRT1 encoding.
+  std::string Legacy = traceFixture("fig1.wrt1");
   ASSERT_EQ(Legacy.compare(0, 4, "WRT1"), 0);
 
   TraceLog Out;
@@ -213,14 +290,12 @@ TEST(TraceReplayTest, LegacyWrt1ReplayMatchesOnlineRun) {
   registerFig1(S.network());
   SessionResult Online = S.run("index.html");
   TraceLog Decoded;
-  ASSERT_TRUE(
-      TraceLog::deserialize(S.trace()->serializeLegacyWrt1(), Decoded));
+  ASSERT_TRUE(TraceLog::deserialize(traceFixture("fig1.wrt1"), Decoded));
   detect::ReplayResult Offline = detect::replayTrace(Decoded);
   EXPECT_EQ(detect::describeRaces(Offline.RawRaces, Offline.Hb),
             detect::describeRaces(Online.RawRaces, S.browser().hb()));
   EXPECT_EQ(detect::describeRaces(Offline.FilteredRaces, Offline.Hb),
             detect::describeRaces(Online.FilteredRaces, S.browser().hb()));
-  EXPECT_EQ(Offline.Stats.ChcQueries, Online.Stats.ChcQueries);
   EXPECT_EQ(Offline.Stats.EpochHits, Online.Stats.EpochHits);
   EXPECT_EQ(Offline.Stats.InternedLocations,
             Online.Stats.InternedLocations);
@@ -255,7 +330,6 @@ TEST(TraceReplayTest, ReplayIsByteIdenticalToOnlineRun) {
   detect::ReplayResult Offline = detect::replayTrace(*S.trace());
   EXPECT_EQ(Offline.Stats.Operations, Online.Stats.Operations);
   EXPECT_EQ(Offline.Stats.HbEdges, Online.Stats.HbEdges);
-  EXPECT_EQ(Offline.Stats.ChcQueries, Online.Stats.ChcQueries);
   EXPECT_EQ(Offline.Stats.Crashes, Online.Crashes.size());
   EXPECT_EQ(Offline.Stats.AccessesSeen, Online.Stats.AccessesSeen);
   EXPECT_EQ(Offline.Stats.TrackedLocations, Online.Stats.TrackedLocations);
@@ -287,12 +361,16 @@ TEST(TraceReplayTest, ReplaySurvivesSerializationRoundTrip) {
 }
 
 TEST(TraceReplayTest, DfsReplayFindsSameRaces) {
+  // Replay's detector answers from epoch probes; the paper's algorithm
+  // answered by the DFS oracle over the same graph reports the same
+  // races.
   Session S(recordingOptions());
   registerFig1(S.network());
   SessionResult Online = S.run("index.html");
-  detect::ReplayOptions Opts;
-  Opts.Detector.Engine = EngineKind::HbDfs;
-  detect::ReplayResult Offline = detect::replayTrace(*S.trace(), Opts);
+  detect::ReplayResult Offline = detect::replayTrace(*S.trace());
+  ASSERT_FALSE(Offline.RawRaces.empty());
+  EXPECT_EQ(wr::testing::raceKeys(Offline.RawRaces),
+            wr::testing::dfsReferenceRaces(*S.trace(), Offline.Hb));
   EXPECT_EQ(detect::describeRaces(Offline.RawRaces, Offline.Hb),
             detect::describeRaces(Online.RawRaces, S.browser().hb()));
 }

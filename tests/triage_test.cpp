@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -91,18 +92,21 @@ TEST(SignatureTest, InvariantAcrossSiteLayouts) {
 }
 
 TEST(SignatureTest, InvariantAcrossTraceEncodings) {
-  // One execution, two encodings: the WRT2 bytes and the legacy WRT1
-  // bytes of the same trace must replay to byte-identical signatures.
-  sites::GeneratedSite Site = patternSite(
-      "sig-wrt", {{sites::PatternKind::FormValueHarmful, 1}});
+  // One execution, two encodings: the WRT2 bytes of a live Fig. 1 run and
+  // the checked-in legacy WRT1 bytes of the same run must replay to
+  // byte-identical signatures. Fig. 1's one race is a variable race the
+  // Sec. 5.3 filters drop, so the raw races are signed.
   webracer::SessionOptions Opts;
   Opts.RecordTrace = true;
   webracer::Session S(Opts);
-  S.network().addResource(Site.IndexUrl, Site.Html, 10);
-  for (const sites::SiteResource &R : Site.Resources)
-    S.network().addResourceWithJitter(R.Url, R.Body, R.MinLatencyUs,
-                                      R.MaxLatencyUs);
-  (void)S.run(Site.IndexUrl);
+  S.network().addResource("index.html",
+                          "<script>x = 1;</script>"
+                          "<iframe src=\"a.html\"></iframe>"
+                          "<iframe src=\"b.html\"></iframe>",
+                          10);
+  S.network().addResource("a.html", "<script>x = 2;</script>", 1000);
+  S.network().addResource("b.html", "<script>alert(x);</script>", 2000);
+  (void)S.run("index.html");
   ASSERT_NE(S.trace(), nullptr);
 
   auto SignedReplay = [](const std::string &Bytes) {
@@ -111,14 +115,17 @@ TEST(SignatureTest, InvariantAcrossTraceEncodings) {
     EXPECT_TRUE(TraceLog::deserialize(Bytes, Log, &Error)) << Error;
     detect::ReplayResult R = detect::replayTrace(Log);
     std::vector<std::string> Texts;
-    for (const detect::Race &Race : R.FilteredRaces)
+    for (const detect::Race &Race : R.RawRaces)
       Texts.push_back(triage::computeSignature(Race, R.Hb).text());
     std::sort(Texts.begin(), Texts.end());
     return Texts;
   };
+  std::ifstream Fixture(std::string(WR_TRACE_DIR) + "/fig1.wrt1",
+                        std::ios::binary);
+  std::ostringstream Legacy;
+  Legacy << Fixture.rdbuf();
   std::vector<std::string> Wrt2 = SignedReplay(S.trace()->serialize());
-  std::vector<std::string> Wrt1 =
-      SignedReplay(S.trace()->serializeLegacyWrt1());
+  std::vector<std::string> Wrt1 = SignedReplay(Legacy.str());
   ASSERT_FALSE(Wrt2.empty());
   EXPECT_EQ(Wrt2, Wrt1);
 }

@@ -4,7 +4,7 @@
 Usage: diff_baseline.py BASELINE.json CURRENT.json
 
 Compares the deterministic headline counters (site count, aggregate
-operations / HB edges / CHC queries, vector-clock chain and clock-arena
+operations / HB edges, vector-clock chain and clock-arena
 counters (clock_bytes / clock_merges / shared_clocks), intern and epoch
 fast-path hit counters, detect-phase virtual time, the SHB/WCP
 predictive-pass headline counters (wr_prediction candidates /
@@ -25,7 +25,6 @@ import sys
 HEADLINE_PATHS = [
     ("aggregate", "operations"),
     ("aggregate", "hb_edges"),
-    ("aggregate", "chc_queries"),
     ("aggregate", "vc_chains"),
     ("aggregate", "clock_bytes"),
     ("aggregate", "clock_merges"),
@@ -36,7 +35,6 @@ HEADLINE_PATHS = [
     ("aggregate", "intern_hits"),
     ("aggregate", "epoch_hits"),
     ("aggregate", "wr_epochs", "reads"),
-    ("aggregate", "wr_epochs", "epoch_reads"),
     ("aggregate", "wr_epochs", "read_inflations"),
     ("aggregate", "wr_epochs", "read_deflations"),
     ("aggregate", "wr_epochs", "read_vector_locations"),

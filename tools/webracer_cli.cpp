@@ -21,7 +21,8 @@
 //       signature, and emit one ranked report (byte-identical at any
 //       --jobs count)
 //
-// Options (per subcommand; unknown options exit 2):
+// Options (per subcommand; unknown options exit 2; --help / -h prints the
+// usage summary and exits 0):
 //   --root DIR          page, cross-check: resource root (default: the
 //                       page's directory)
 //   --seed N            page, corpus, cross-check: determinism seed
@@ -30,10 +31,10 @@
 //                       microseconds (default: jitter 500..3000)
 //   --raw               page, replay: print unfiltered races
 //   --no-explore        page, cross-check: skip automatic exploration
-//   --engine NAME       partial-order engine: hb (default), hb-dfs, shb,
-//                       or wcp. The observed race output is always
-//                       computed under happens-before; shb/wcp add a
-//                       predictive pass (implies --predict)
+//   --engine NAME       partial-order engine: hb (default), shb, or wcp.
+//                       The observed race output is always computed
+//                       under happens-before; shb/wcp add a predictive
+//                       pass (implies --predict)
 //   --predict           page, replay, batch: run the SHB and WCP
 //                       predictive passes after the observed run
 //   --suppressions FILE page, replay, corpus, batch: drop races matching
@@ -44,9 +45,9 @@
 //                       (default 1 = full instrumentation; below 1 the
 //                       report grows a wr_sampling attrition group)
 //   --sample-strategy NAME
-//                       page, replay, corpus, batch: per-location,
-//                       per-pair, or adaptive (the default; cold-region
-//                       biasing with inflation/race heat)
+//                       page, replay, corpus, batch: per-location or
+//                       adaptive (the default; cold-region biasing with
+//                       inflation/race heat)
 //   --trace             page: dump the full instrumentation trace;
 //                       cross-check --static-only: dump the must-HB graph
 //   --record FILE       page: write the execution trace to FILE (WRT2)
@@ -58,12 +59,6 @@
 //   --static-only       cross-check: static analysis alone, no dynamic run
 //   --json FILE         write the schema-1 JSON report to FILE
 //   --metrics           dump run statistics as a name-sorted listing
-//
-// The pre-subcommand flag spellings (`webracer-cli index.html --raw`,
-// `--corpus`, `--replay FILE`, `--cross-check`, `--static-analyze`,
-// `--static-precision`) keep working through an alias shim that prints a
-// one-line deprecation note to stderr. The `--dfs` / `--vector-clocks`
-// flags are gone: use `--engine hb-dfs` / `--engine hb`.
 //
 // Count-valued options take strict unsigned decimal integers; anything
 // else (including a bare "-" or trailing junk) is a usage error.
@@ -111,9 +106,9 @@ int usage(const char *Argv0) {
       "                        static-vs-dynamic race comparison\n"
       "  batch --traces DIR    deduplicating ingest of a trace directory\n"
       "\n"
-      "common options: --engine hb|hb-dfs|shb|wcp, --json FILE,\n"
+      "common options: --engine hb|shb|wcp, --json FILE,\n"
       "  --metrics, --suppressions FILE, --sample-rate X,\n"
-      "  --sample-strategy per-location|per-pair|adaptive; see the\n"
+      "  --sample-strategy per-location|adaptive; see the\n"
       "  header of this tool or README.md for the per-subcommand "
       "tables.\n",
       Argv0);
@@ -280,6 +275,7 @@ struct CliOptions {
   bool Metrics = false;
   bool Precision = false;
   bool StaticOnly = false;
+  bool Help = false; ///< --help / -h after the subcommand.
   EngineKind Engine = EngineKind::Hb;
   double SampleRate = 1.0;
   sample::SamplingStrategy SampleStrategy =
@@ -339,8 +335,8 @@ bool modeAccepts(Mode M, const std::string &Flag) {
   return false;
 }
 
-/// Parses the arguments after the subcommand. Returns 0 on success, else
-/// the exit code (2 for usage errors).
+/// Parses the arguments after the subcommand. Returns 0 on success
+/// (including a --help request), else the exit code (2 for usage errors).
 int parseModeArgs(CliOptions &O, const std::vector<std::string> &Args,
                   const char *Argv0) {
   auto NeedsPositional = [&] {
@@ -372,13 +368,9 @@ int parseModeArgs(CliOptions &O, const std::vector<std::string> &Args,
                    Arg.c_str());
       return 2;
     }
-    if (Arg == "--dfs" || Arg == "--vector-clocks") {
-      std::fprintf(stderr,
-                   "error: %s was removed; use --engine hb-dfs (the "
-                   "paper's graph DFS) or --engine hb (vector clocks, "
-                   "the default)\n",
-                   Arg.c_str());
-      return 2;
+    if (Arg == "--help" || Arg == "-h") {
+      O.Help = true;
+      return 0;
     }
     if (!modeAccepts(O.M, Arg)) {
       std::fprintf(stderr, "error: unknown option '%s' for '%s %s'\n",
@@ -408,8 +400,8 @@ int parseModeArgs(CliOptions &O, const std::vector<std::string> &Args,
         return 2;
       if (!parseEngineKind(V, O.Engine)) {
         std::fprintf(stderr,
-                     "error: unknown engine '%s' (expected hb, hb-dfs, "
-                     "shb, or wcp)\n",
+                     "error: unknown engine '%s' (expected hb, shb, or "
+                     "wcp)\n",
                      V);
         return 2;
       }
@@ -431,7 +423,7 @@ int parseModeArgs(CliOptions &O, const std::vector<std::string> &Args,
       if (!sample::parseSamplingStrategy(V, O.SampleStrategy)) {
         std::fprintf(stderr,
                      "error: unknown sampling strategy '%s' (expected "
-                     "per-location, per-pair, or adaptive)\n",
+                     "per-location or adaptive)\n",
                      V);
         return 2;
       }
@@ -855,59 +847,6 @@ int pageMain(const CliOptions &O) {
   return Races.empty() ? 0 : 1;
 }
 
-/// Maps a pre-subcommand invocation onto the new interface: finds the
-/// mode-selecting flag (or positional page), strips it, and returns the
-/// remaining arguments for the shared parser. Prints the one-line
-/// deprecation note naming the subcommand to migrate to.
-bool legacyShim(int Argc, char **Argv, CliOptions &O,
-                std::vector<std::string> &Args) {
-  O.M = Mode::Page;
-  bool HaveMode = false;
-  bool Precision = false, StaticOnly = false;
-  std::vector<std::string> Rest;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--corpus") {
-      O.M = Mode::Corpus;
-      HaveMode = true;
-    } else if (Arg == "--replay") {
-      O.M = Mode::Replay;
-      HaveMode = true;
-      if (I + 1 < Argc)
-        Rest.push_back(Argv[++I]);
-    } else if (Arg == "--cross-check") {
-      O.M = Mode::CrossCheck;
-      HaveMode = true;
-    } else if (Arg == "--static-analyze") {
-      O.M = Mode::CrossCheck;
-      StaticOnly = true;
-      HaveMode = true;
-    } else if (Arg == "--static-precision") {
-      O.M = Mode::CrossCheck;
-      Precision = true;
-      HaveMode = true;
-    } else {
-      if (I == 1 && !Arg.empty() && Arg[0] != '-' && !HaveMode) {
-        // Old positional page argument.
-        HaveMode = true;
-      }
-      Rest.push_back(std::move(Arg));
-    }
-  }
-  if (!HaveMode)
-    return false;
-  if (StaticOnly)
-    Rest.push_back("--static-only");
-  if (Precision)
-    Rest.push_back("--precision");
-  std::fprintf(stderr,
-               "note: flag-style invocation is deprecated; use "
-               "'%s %s ...'\n",
-               Argv[0], modeName(O.M));
-  Args = std::move(Rest);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -915,7 +854,6 @@ int main(int Argc, char **Argv) {
     return usage(Argv[0]);
 
   CliOptions O;
-  std::vector<std::string> Args;
   std::string First = Argv[1];
   if (First == "--help" || First == "-h") {
     usage(Argv[0]);
@@ -932,39 +870,17 @@ int main(int Argc, char **Argv) {
   } else if (First == "batch") {
     O.M = Mode::Batch;
   } else {
-    // Not a subcommand: accept the pre-subcommand flag spellings (and
-    // the bare positional page of the original interface, recognized by
-    // the page actually existing on disk) with a deprecation note;
-    // everything else is a usage error.
-    std::error_code Ec;
-    if (!First.empty() && First[0] != '-' && !fs::exists(First, Ec)) {
-      std::fprintf(stderr, "error: unknown subcommand '%s'\n",
-                   First.c_str());
-      return usage(Argv[0]);
-    }
-    if (!legacyShim(Argc, Argv, O, Args))
-      return usage(Argv[0]);
-    if (int Rc = parseModeArgs(O, Args, Argv[0]))
-      return Rc;
-    switch (O.M) {
-    case Mode::Page:
-      return pageMain(O);
-    case Mode::Replay:
-      return replayMain(O);
-    case Mode::Corpus:
-      return corpusMain(O);
-    case Mode::CrossCheck:
-      return crossCheckMain(O);
-    case Mode::Batch:
-      return batchMain(O);
-    }
-    return 2;
+    std::fprintf(stderr, "error: unknown subcommand '%s'\n", First.c_str());
+    return usage(Argv[0]);
   }
 
-  for (int I = 2; I < Argc; ++I)
-    Args.push_back(Argv[I]);
+  std::vector<std::string> Args(Argv + 2, Argv + Argc);
   if (int Rc = parseModeArgs(O, Args, Argv[0]))
     return Rc;
+  if (O.Help) {
+    usage(Argv[0]);
+    return 0;
+  }
   switch (O.M) {
   case Mode::Page:
     return pageMain(O);
