@@ -2,6 +2,9 @@
 
 #include "analysis/Dataflow.h"
 
+#include <algorithm>
+#include <cassert>
+
 using namespace wr;
 using namespace wr::analysis;
 
@@ -172,15 +175,13 @@ namespace {
 struct GuardAnalysis {
   using Domain = GuardSet;
 
+  const std::vector<BlockDefs> &Defs;
+
   Domain boundary() const { return GuardSet(); }
 
   void transferBlock(const CfgBlock &B, Domain &D) const {
-    std::vector<std::string> Defs;
-    for (const js::Stmt *S : B.Stmts)
-      collectStmtDefs(S, /*IncludeConditional=*/true, Defs);
-    collectExprDefs(B.Term, /*IncludeConditional=*/true, Defs);
     // A may-write to the guarded variable invalidates the fact.
-    for (const std::string &V : Defs)
+    for (const std::string &V : Defs[B.Id].May)
       D.killSubject(V);
   }
 
@@ -201,17 +202,14 @@ struct GuardAnalysis {
 struct EntryDefAnalysis {
   using Domain = std::set<std::string>;
 
+  const std::vector<BlockDefs> &Defs;
   const std::set<std::string> &Universe;
 
   Domain boundary() const { return Universe; }
 
   void transferBlock(const CfgBlock &B, Domain &D) const {
     // Only definite (unconditional) definitions kill the entry value.
-    std::vector<std::string> Defs;
-    for (const js::Stmt *S : B.Stmts)
-      collectStmtDefs(S, /*IncludeConditional=*/false, Defs);
-    collectExprDefs(B.Term, /*IncludeConditional=*/false, Defs);
-    for (const std::string &V : Defs)
+    for (const std::string &V : Defs[B.Id].Must)
       D.erase(V);
   }
 
@@ -231,35 +229,50 @@ struct EntryDefAnalysis {
 // --------------------------------------------------------------------------
 
 FlowInfo::FlowInfo(Cfg Lowered) : G(std::move(Lowered)) {
+  Defs.resize(G.Blocks.size());
   for (const CfgBlock &B : G.Blocks) {
-    std::vector<std::string> Defs;
-    for (const js::Stmt *S : B.Stmts)
-      collectStmtDefs(S, /*IncludeConditional=*/true, Defs);
-    collectExprDefs(B.Term, /*IncludeConditional=*/true, Defs);
-    Tracked.insert(Defs.begin(), Defs.end());
+    BlockDefs &D = Defs[B.Id];
+    for (const js::Stmt *S : B.Stmts) {
+      D.MayBegin.push_back(static_cast<uint32_t>(D.May.size()));
+      D.MustBegin.push_back(static_cast<uint32_t>(D.Must.size()));
+      collectStmtDefs(S, /*IncludeConditional=*/true, D.May);
+      collectStmtDefs(S, /*IncludeConditional=*/false, D.Must);
+    }
+    collectExprDefs(B.Term, /*IncludeConditional=*/true, D.May);
+    collectExprDefs(B.Term, /*IncludeConditional=*/false, D.Must);
+    Tracked.insert(D.May.begin(), D.May.end());
   }
-  GuardIn = solveForward(G, GuardAnalysis{});
-  EntryIn = solveForward(G, EntryDefAnalysis{Tracked});
+  GuardIn = solveForward(G, GuardAnalysis{Defs});
+  EntryIn = solveForward(G, EntryDefAnalysis{Defs, Tracked});
 }
 
 FlowInfo::FlowInfo(const js::Program &P) : FlowInfo(Cfg::lower(P)) {}
 
 FlowInfo::FlowInfo(const js::FunctionLiteral &Fn) : FlowInfo(Cfg::lower(Fn)) {}
 
-GuardSet FlowInfo::guardsAt(const js::Stmt *S) const {
+template <typename State>
+const CfgBlock *
+FlowInfo::anchor(const js::Stmt *S,
+                 const std::vector<std::optional<State>> &In,
+                 size_t &Index) const {
   auto It = G.BlockOf.find(S);
-  if (It == G.BlockOf.end() || !GuardIn[It->second])
-    return GuardSet();
+  if (It == G.BlockOf.end() || !In[It->second])
+    return nullptr;
   const CfgBlock &B = G.Blocks[It->second];
-  GuardSet State = *GuardIn[It->second];
-  for (const js::Stmt *Prev : B.Stmts) {
-    if (Prev == S)
-      break;
-    std::vector<std::string> Defs;
-    collectStmtDefs(Prev, /*IncludeConditional=*/true, Defs);
-    for (const std::string &V : Defs)
-      State.killSubject(V);
-  }
+  Index = std::find(B.Stmts.begin(), B.Stmts.end(), S) - B.Stmts.begin();
+  assert(Index < B.Stmts.size() && "BlockOf names a block without S");
+  return &B;
+}
+
+GuardSet FlowInfo::guardsAt(const js::Stmt *S) const {
+  size_t Index;
+  const CfgBlock *B = anchor(S, GuardIn, Index);
+  if (!B)
+    return GuardSet();
+  GuardSet State = *GuardIn[B->Id];
+  const BlockDefs &D = Defs[B->Id];
+  for (uint32_t I = 0; I < D.MayBegin[Index]; ++I)
+    State.killSubject(D.May[I]);
   return State;
 }
 
@@ -267,18 +280,14 @@ bool FlowInfo::definitelyWrittenBefore(const js::Stmt *S,
                                        const std::string &Var) const {
   if (!Tracked.count(Var))
     return false; // Never written here, so the entry value reaches.
-  auto It = G.BlockOf.find(S);
-  if (It == G.BlockOf.end() || !EntryIn[It->second])
+  size_t Index;
+  const CfgBlock *B = anchor(S, EntryIn, Index);
+  if (!B)
     return false; // Unknown or unreachable: keep the read.
-  const CfgBlock &B = G.Blocks[It->second];
-  std::set<std::string> State = *EntryIn[It->second];
-  for (const js::Stmt *Prev : B.Stmts) {
-    if (Prev == S)
-      break;
-    std::vector<std::string> Defs;
-    collectStmtDefs(Prev, /*IncludeConditional=*/false, Defs);
-    for (const std::string &V : Defs)
-      State.erase(V);
-  }
-  return !State.count(Var);
+  if (!EntryIn[B->Id]->count(Var))
+    return true; // Every path into the block already wrote Var.
+  // Otherwise only a definite write earlier in the block kills it.
+  const BlockDefs &D = Defs[B->Id];
+  auto End = D.Must.begin() + D.MustBegin[Index];
+  return std::find(D.Must.begin(), End, Var) != End;
 }

@@ -24,10 +24,11 @@
 ///    local write, so the effect pass drops it and lets the write
 ///    carry the race.
 ///
-/// The FlowInfo facade runs both analyses once per body and answers
-/// per-statement queries by replaying the anchor block's statements up
-/// to the query point. Statements in unreachable blocks conservatively
-/// report no guards and no definite writes.
+/// The FlowInfo facade collects every statement's may- and must-defs
+/// once per body, runs both analyses over the per-block lists, and
+/// answers per-statement queries by applying the anchor block's defs
+/// up to the query point. Statements in unreachable blocks
+/// conservatively report no guards and no definite writes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,8 +114,21 @@ void collectStmtDefs(const js::Stmt *S, bool IncludeConditional,
 void collectExprDefs(const js::Expr *E, bool IncludeConditional,
                      std::vector<std::string> &Out);
 
-/// Per-body flow facts: lowers the body once, solves both analyses,
-/// and answers per-statement queries (see file comment).
+/// The definitions one block makes, collected once per body: its
+/// statements' lists concatenated in order, then the terminator's.
+/// Statement i's may-defs start at `May[MayBegin[i]]`, so the prefix
+/// before it is what the block may define before statement i runs;
+/// likewise for the must-defs.
+struct BlockDefs {
+  std::vector<std::string> May;  ///< Conditional arms counted.
+  std::vector<std::string> Must; ///< Definite definitions only.
+  std::vector<uint32_t> MayBegin;
+  std::vector<uint32_t> MustBegin;
+};
+
+/// Per-body flow facts: lowers the body once, collects each block's
+/// definitions once, solves both analyses, and answers per-statement
+/// queries (see file comment).
 class FlowInfo {
 public:
   explicit FlowInfo(const js::Program &P);
@@ -138,7 +152,16 @@ public:
 private:
   explicit FlowInfo(Cfg Lowered);
 
+  /// Index of \p S in its anchor block's statements, and the block;
+  /// nullptr when \p S was not lowered here or is unreachable in \p In.
+  template <typename State>
+  const CfgBlock *anchor(const js::Stmt *S,
+                         const std::vector<std::optional<State>> &In,
+                         size_t &Index) const;
+
   Cfg G;
+  /// Per-block definitions, indexed by block id.
+  std::vector<BlockDefs> Defs;
   /// Block-entry states of the two analyses; nullopt = unreachable.
   std::vector<std::optional<GuardSet>> GuardIn;
   std::vector<std::optional<std::set<std::string>>> EntryIn;

@@ -2,6 +2,7 @@
 
 #include "analysis/StaticHb.h"
 
+#include <algorithm>
 #include <vector>
 
 using namespace wr::analysis;
@@ -38,42 +39,44 @@ uint32_t StaticHbGraph::addSource(SourceKind Kind, std::string Label) {
   S.Label = std::move(Label);
   Sources.push_back(std::move(S));
   Succ.emplace_back();
+  if (Id >= Words * 64) {
+    // Widen every row; doubling keeps the re-layouts O(S^2/64) in total.
+    size_t NewWords = Words ? Words * 2 : 1;
+    std::vector<uint64_t> Wide(size_t(Id) * NewWords, 0);
+    for (size_t Row = 0; Row < Id; ++Row)
+      std::copy_n(Reach.begin() + Row * Words, Words,
+                  Wide.begin() + Row * NewWords);
+    Reach = std::move(Wide);
+    Words = NewWords;
+  }
+  Reach.resize(Reach.size() + Words, 0);
+  Reach[size_t(Id) * Words + Id / 64] |= uint64_t(1) << (Id % 64);
   return Id;
 }
 
 void StaticHbGraph::addEdge(uint32_t From, uint32_t To) {
   if (From == InvalidSource || To == InvalidSource || From == To)
     return;
+  assert(From < Sources.size() && To < Sources.size());
   for (uint32_t Existing : Succ[From])
     if (Existing == To)
       return;
   Succ[From].push_back(To);
   ++Edges;
-}
-
-bool StaticHbGraph::reaches(uint32_t From, uint32_t To) const {
-  if (From == InvalidSource || To == InvalidSource)
-    return false;
-  if (From == To)
-    return true;
-  // Graphs are page-sized (tens of sources); an explicit DFS per query
-  // is fast enough and keeps the structure mutation-friendly.
-  std::vector<uint8_t> Seen(Sources.size(), 0);
-  std::vector<uint32_t> Stack{From};
-  Seen[From] = 1;
-  while (!Stack.empty()) {
-    uint32_t Cur = Stack.back();
-    Stack.pop_back();
-    for (uint32_t Next : Succ[Cur]) {
-      if (Next == To)
-        return true;
-      if (!Seen[Next]) {
-        Seen[Next] = 1;
-        Stack.push_back(Next);
-      }
-    }
+  if (reaches(From, To))
+    return; // Already implied: no row changes.
+  // A row gains To's closure iff it already reached From. Rows are
+  // updated in place; To's own row only changes if it reaches From,
+  // and then OR-ing it into itself is a no-op, so every row reads the
+  // pre-edge closure of To.
+  const uint64_t *ToRow = Reach.data() + size_t(To) * Words;
+  for (size_t Row = 0; Row < Sources.size(); ++Row) {
+    uint64_t *Bits = Reach.data() + Row * Words;
+    if (!((Bits[From / 64] >> (From % 64)) & 1))
+      continue;
+    for (size_t W = 0; W < Words; ++W)
+      Bits[W] |= ToRow[W];
   }
-  return false;
 }
 
 std::string StaticHbGraph::toString() const {

@@ -34,6 +34,7 @@
 
 #include "analysis/EffectSet.h"
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,6 +66,12 @@ struct EffectSource {
 
 /// The DAG of effect sources. Queries are by reachability: A is ordered
 /// with B iff one reaches the other along must-HB edges.
+///
+/// Each source keeps a bitset row holding its reflexive transitive
+/// closure, maintained as edges arrive: adding From -> To ORs To's row
+/// into every row that holds From. That stays exact under cycles and
+/// edges into older sources, costs O(S/64) per row per edge that adds
+/// reachability, and answers every query with one bit test.
 class StaticHbGraph {
 public:
   /// Sentinel for "no source".
@@ -83,8 +90,18 @@ public:
 
   size_t numEdges() const { return Edges; }
 
+  /// Direct must-HB successors of \p Id, in insertion order.
+  const std::vector<uint32_t> &successors(uint32_t Id) const {
+    return Succ[Id];
+  }
+
   /// True if \p From reaches \p To along edges (reflexive).
-  bool reaches(uint32_t From, uint32_t To) const;
+  bool reaches(uint32_t From, uint32_t To) const {
+    if (From == InvalidSource || To == InvalidSource)
+      return false;
+    assert(From < Sources.size() && To < Sources.size());
+    return (Reach[size_t(From) * Words + To / 64] >> (To % 64)) & 1;
+  }
 
   /// True if the two sources are ordered either way - the static
   /// equivalent of NOT Can-Happen-Concurrently.
@@ -100,6 +117,9 @@ private:
   std::vector<EffectSource> Sources;
   std::vector<std::vector<uint32_t>> Succ;
   size_t Edges = 0;
+  /// Closure rows, `Words` 64-bit words per source, row-major.
+  std::vector<uint64_t> Reach;
+  size_t Words = 0;
 };
 
 } // namespace wr::analysis

@@ -7,8 +7,8 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 using namespace wr;
 using namespace wr::detect;
@@ -134,7 +134,9 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
   for (const Race &R : ObservedRaw)
     Observed.insert({R.First.Loc, packPair(R.First.Op, R.Second.Op)});
 
-  std::unordered_map<LocId, LocHistory> Histories;
+  // LocIds are dense indices into the trace's location table (the WRT2
+  // decoder rejects out-of-range ids), so histories are a flat array.
+  std::vector<LocHistory> Histories(Log.interner().size());
   std::unordered_set<PairKey, PairKeyHash> Seen;
 
   for (const TraceEvent &E : Log.events()) {
@@ -147,6 +149,7 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
       break;
     case TraceEvent::Kind::MemAccess: {
       const Access &A = E.Mem;
+      assert(A.Loc < Histories.size() && "access of an uninterned location");
       LocHistory &H = Histories[A.Loc];
       // Check against the whole history *before* this access updates the
       // engine: under SHB the reader's write-read join must not order

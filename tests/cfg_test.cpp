@@ -279,8 +279,9 @@ TEST(CfgTest, NotSwapsBranchTargetsNotEdgeCount) {
   // The edge condition is the atomic `a`, not the Unary.
   for (const CfgBlock &B : Neg.Blocks)
     for (const CfgEdge &E : B.Succs)
-      if (E.Cond)
+      if (E.Cond) {
         EXPECT_TRUE(js::isa<js::Ident>(E.Cond));
+      }
 }
 
 TEST(CfgTest, SwitchCaseTestsAreNotConditionEdges) {
@@ -318,7 +319,8 @@ TEST(CfgTest, TryCatchKeepsCatchReachable) {
   Cfg G = lowerChecked(*R.Ast, "try-catch");
   // Every statement is reachable: the catch block hangs off the state
   // before the try body.
-  std::set<uint32_t> Reach(G.rpo().begin(), G.rpo().end());
+  std::vector<uint32_t> Order = G.rpo();
+  std::set<uint32_t> Reach(Order.begin(), Order.end());
   for (const auto &[S, B] : G.BlockOf) {
     (void)S;
     EXPECT_TRUE(Reach.count(B)) << "unreachable lowered statement";
