@@ -15,6 +15,14 @@
 //     reports under --engine hb are byte-identical to the checked-in
 //     golden file (tests/golden/fig_reports.json).
 //
+//  4. Prediction scales with the trace, not with each location's
+//     history: on synthetic traces of ~10k and ~100k accesses over a
+//     small hot location set read from many chains, each pass poses at
+//     most accesses x (1 + read chains) ordering probes - one against
+//     the location's last write, plus one per chain's last read for a
+//     write. Wall time is printed, never gated (timing gates are noisy
+//     under a parallel ctest).
+//
 // Usage: race_prediction [--quick]   (--quick runs a 25-site corpus)
 //
 //===----------------------------------------------------------------------===//
@@ -26,6 +34,7 @@
 #include "webracer/Session.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -75,6 +84,78 @@ const obs::PredictionRow *findRow(const obs::RunStats &Stats,
     if (Row.Engine == Engine)
       return &Row;
   return nullptr;
+}
+
+/// A synthetic prediction workload, built through the TraceLog sink
+/// calls. Script op 1 starts \p Chains reader chains; every round, one
+/// op per chain reads 4 of the \p Locs hot locations, a rogue op on its
+/// own chain (concurrent with everything else) writes one of them, and
+/// a barrier op after the round's readers writes all of them - so every
+/// location sees reads from all chains, races after the first one, and
+/// writes that clear its reads. Each op is created right before it
+/// runs, in id order.
+struct ScalingTrace {
+  TraceLog Log;
+  uint64_t Accesses = 0;
+  /// Chains that read the hot locations: the widest a location's read
+  /// state can get.
+  uint64_t ReadChains = 0;
+};
+
+ScalingTrace buildScalingTrace(unsigned Chains, unsigned Locs,
+                               uint64_t MinAccesses) {
+  ScalingTrace T;
+  TraceLog &Log = T.Log;
+  std::vector<LocId> Hot;
+  for (unsigned I = 0; I < Locs; ++I)
+    Hot.push_back(Log.interner().intern(
+        JSVarLoc{0, "hot" + std::to_string(I)}));
+  OpId Next = 1;
+  auto Create = [&](OperationKind Kind, std::initializer_list<OpId> Preds) {
+    OpId Op = Next++;
+    Operation Meta;
+    Meta.Kind = Kind;
+    Log.onOperationCreated(Op, Meta);
+    for (OpId P : Preds)
+      if (P != InvalidOpId)
+        Log.onHbEdge(P, Op, HbRule::R16_SetTimeout);
+    return Op;
+  };
+  auto Touch = [&](OpId Op, LocId Loc, AccessKind Kind) {
+    Access A;
+    A.Kind = Kind;
+    A.Op = Op;
+    A.Loc = Loc;
+    Log.onMemoryAccess(A);
+    ++T.Accesses;
+  };
+  Rng R(2012);
+  const OpId Script = Create(OperationKind::ExecuteScript, {});
+  Touch(Script, Hot[0], AccessKind::Write);
+  std::vector<OpId> Tails(Chains, InvalidOpId);
+  OpId Barrier = Script, Rogue = InvalidOpId;
+  for (unsigned Round = 0; T.Accesses < MinAccesses; ++Round) {
+    for (unsigned K = 0; K < Chains; ++K) {
+      // The first predecessor still at its chain's tail donates the
+      // chain: reader 0 continues the barrier's, the others their own.
+      OpId Op = K == 0 || Tails[K] == InvalidOpId
+                    ? Create(OperationKind::TimeoutCallback, {Barrier})
+                    : Create(OperationKind::TimeoutCallback,
+                             {Tails[K], Barrier});
+      Tails[K] = Op;
+      for (int I = 0; I < 4; ++I)
+        Touch(Op, Hot[R.nextBelow(Locs)], AccessKind::Read);
+    }
+    Rogue = Create(OperationKind::TimeoutCallback, {Rogue});
+    Touch(Rogue, Hot[Round % Locs], AccessKind::Write);
+    Barrier = Create(OperationKind::TimeoutCallback, {Tails[0]});
+    for (unsigned K = 1; K < Chains; ++K)
+      Log.onHbEdge(Tails[K], Barrier, HbRule::R16_SetTimeout);
+    for (LocId Loc : Hot)
+      Touch(Barrier, Loc, AccessKind::Write);
+  }
+  T.ReadChains = Chains;
+  return T;
 }
 
 } // namespace
@@ -217,11 +298,49 @@ int main(int Argc, char **Argv) {
     }
   }
 
+  // Gate 4: ordering probes stay linear in the trace.
+  std::printf("\nprediction scaling (synthetic: 32 reader chains, 8 hot "
+              "locations):\n");
+  std::printf("  %9s  %-6s %13s %11s %9s %9s %10s\n", "accesses", "engine",
+              "pairs_checked", "bound", "findings", "wall_ms", "ns/access");
+  for (uint64_t Size : {10000ull, 100000ull}) {
+    ScalingTrace T = buildScalingTrace(32, 8, Size);
+    const uint64_t Bound = T.Accesses * (1 + T.ReadChains);
+    for (EngineKind Kind : {EngineKind::Shb, EngineKind::Wcp}) {
+      auto Start = std::chrono::steady_clock::now();
+      PredictionResult P = predictRaces(T.Log, Kind, {});
+      double Ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - Start)
+                      .count();
+      std::printf("  %9llu  %-6s %13llu %11llu %9zu %9.2f %10.1f\n",
+                  static_cast<unsigned long long>(T.Accesses),
+                  wr::toString(Kind),
+                  static_cast<unsigned long long>(P.PairsChecked),
+                  static_cast<unsigned long long>(Bound), P.Races.size(), Ms,
+                  Ms * 1e6 / static_cast<double>(T.Accesses));
+      if (P.PairsChecked > Bound) {
+        std::printf("FAIL: %s pass over %llu accesses posed %llu probes, "
+                    "more than accesses x (1 + %llu read chains)\n",
+                    wr::toString(Kind),
+                    static_cast<unsigned long long>(T.Accesses),
+                    static_cast<unsigned long long>(P.PairsChecked),
+                    static_cast<unsigned long long>(T.ReadChains));
+        ++Failures;
+      }
+      if (P.Races.empty()) {
+        std::printf("FAIL: %s found no race on the synthetic trace (the "
+                    "rogue writer races every round)\n",
+                    wr::toString(Kind));
+        ++Failures;
+      }
+    }
+  }
+
   if (Failures) {
     std::printf("RESULT: %d FAILURE(S)\n", Failures);
     return 1;
   }
   std::printf("RESULT: OK (SHB dominates, WCP contains SHB, hb output "
-              "unchanged)\n");
+              "unchanged, prediction probes linear)\n");
   return 0;
 }

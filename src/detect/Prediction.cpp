@@ -93,15 +93,15 @@ uint64_t packPair(OpId A, OpId B) {
   return (static_cast<uint64_t>(Lo) << 32) | Hi;
 }
 
-/// Per-location history of the pass (mirrors the detector's FullHistory
-/// bookkeeping, including the form-filter metadata).
-struct LocHistory {
-  struct Entry {
-    Access A;
-    bool HadPriorRead = false;
-  };
-  std::vector<Entry> Entries;
-  std::unordered_set<OpId> ReaderOps;
+/// One access the pass still holds for its location. Every location's
+/// entries form a short list in trace order: the last write, and the
+/// last read on each chain.
+struct LiveAccess {
+  const TraceEvent *Event; ///< A MemAccess event of the trace.
+  uint32_t Chain;          ///< Reads: the reading operation's chain.
+  bool HadPriorRead;       ///< Writes: its operation read the location first.
+
+  const Access &access() const { return Event->Mem; }
 };
 
 } // namespace
@@ -135,8 +135,8 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
     Observed.insert({R.First.Loc, packPair(R.First.Op, R.Second.Op)});
 
   // LocIds are dense indices into the trace's location table (the WRT2
-  // decoder rejects out-of-range ids), so histories are a flat array.
-  std::vector<LocHistory> Histories(Log.interner().size());
+  // decoder rejects out-of-range ids), so the states are a flat array.
+  std::vector<std::vector<LiveAccess>> States(Log.interner().size());
   std::unordered_set<PairKey, PairKeyHash> Seen;
 
   for (const TraceEvent &E : Log.events()) {
@@ -149,43 +149,73 @@ PredictionResult wr::detect::predictRaces(const TraceLog &Log,
       break;
     case TraceEvent::Kind::MemAccess: {
       const Access &A = E.Mem;
-      assert(A.Loc < Histories.size() && "access of an uninterned location");
-      LocHistory &H = Histories[A.Loc];
-      // Check against the whole history *before* this access updates the
+      const bool IsWrite = A.Kind == AccessKind::Write;
+      assert(A.Loc < States.size() && "access of an uninterned location");
+      std::vector<LiveAccess> &Live = States[A.Loc];
+
+      // A write's operation read the location first iff that read is
+      // still here (see the update below).
+      const bool HadPriorRead =
+          IsWrite && std::any_of(Live.begin(), Live.end(),
+                                 [&A](const LiveAccess &Prior) {
+                                   return Prior.access().Op == A.Op &&
+                                          Prior.access().Kind ==
+                                              AccessKind::Read;
+                                 });
+
+      // Check against the entries *before* this access updates the
       // engine: under SHB the reader's write-read join must not order
-      // away the very pair being asked about.
-      for (const LocHistory::Entry &Prior : H.Entries) {
-        bool OneIsWrite = Prior.A.Kind == AccessKind::Write ||
-                          A.Kind == AccessKind::Write;
-        if (Prior.A.Op == A.Op || !OneIsWrite)
+      // away the very pair being asked about. Entries are in trace order,
+      // so each (location, pair) gets the earliest witness the state has.
+      bool ReadsBefore = true; // Every checked read is ordered before A.
+      for (const LiveAccess &Entry : Live) {
+        const Access &Prior = Entry.access();
+        if (Prior.Op == A.Op ||
+            (!IsWrite && Prior.Kind != AccessKind::Write))
           continue;
         ++Result.PairsChecked;
-        if (!PO.concurrent(Prior.A.Op, A.Op))
+        Ordering Order = PO.ordering(Prior.Op, A.Op);
+        if (Prior.Kind == AccessKind::Read && Order != Ordering::Before)
+          ReadsBefore = false;
+        if (Order != Ordering::Concurrent)
           continue;
-        PairKey Key{A.Loc, packPair(Prior.A.Op, A.Op)};
+        PairKey Key{A.Loc, packPair(Prior.Op, A.Op)};
         if (!Seen.insert(Key).second)
           continue;
         PredictedRace P;
         P.R.Loc = Log.interner().resolve(A.Loc);
-        P.R.First = Prior.A;
+        P.R.First = Prior;
         P.R.Second = A;
-        P.R.Kind = classifyRace(Prior.A, A, P.R.Loc);
-        if (Prior.A.Kind == AccessKind::Write && Prior.HadPriorRead)
-          P.R.WriteHadPriorReadInOp = true;
-        if (A.Kind == AccessKind::Write && H.ReaderOps.count(A.Op) != 0)
-          P.R.WriteHadPriorReadInOp = true;
+        P.R.Kind = classifyRace(Prior, A, P.R.Loc);
+        // The Sec. 5.3 refinement looks at whichever side is a write.
+        P.R.WriteHadPriorReadInOp = Entry.HadPriorRead || HadPriorRead;
         P.Verdict = Observed.count(Key) != 0 ? PredictionVerdict::Observed
                                              : PredictionVerdict::Predicted;
         Result.Races.push_back(std::move(P));
       }
+
       PO.onMemoryAccess(A);
-      LocHistory::Entry Entry;
-      Entry.A = A;
-      if (A.Kind == AccessKind::Write)
-        Entry.HadPriorRead = H.ReaderOps.count(A.Op) != 0;
-      H.Entries.push_back(std::move(Entry));
-      if (A.Kind == AccessKind::Read)
-        H.ReaderOps.insert(A.Op);
+      const uint32_t Chain = IsWrite ? 0 : PO.chainOf(A.Op);
+      // The update. Entries of A's own operation always stay: all of one
+      // operation's accesses get the same verdicts, and the earliest is
+      // the witness the whole history reports first.
+      bool Own = false; // A's operation already has an entry of A's kind.
+      std::erase_if(Live, [&](const LiveAccess &Prior) {
+        const Access &P = Prior.access();
+        if (P.Op == A.Op) {
+          Own |= P.Kind == A.Kind;
+          return false;
+        }
+        // FastTrack's rule: a write supersedes the last write, and the
+        // reads once every one is ordered before it.
+        if (IsWrite)
+          return P.Kind == AccessKind::Write || ReadsBefore;
+        // A chain is totally ordered: a read supersedes the previous
+        // read on its chain.
+        return P.Kind == AccessKind::Read && Prior.Chain == Chain;
+      });
+      if (!Own)
+        Live.push_back({&E, Chain, HadPriorRead});
       break;
     }
     case TraceEvent::Kind::OpBegin:

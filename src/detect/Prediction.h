@@ -6,13 +6,14 @@
 ///
 /// \file
 /// The predictive race pass: replays a recorded trace's event stream
-/// through a pluggable PartialOrderEngine and reports every conflicting
-/// access pair the engine leaves unordered - including races *after* the
+/// through a pluggable PartialOrderEngine and reports the conflicting
+/// access pairs the engine leaves unordered - including races *after* the
 /// first one per location, which the paper's single-slot online detector
-/// never sees. Each access is checked against the location's full history
-/// *before* the engine applies the access's own update (SHB's
-/// check-then-update discipline), so under the SHB order every reported
-/// pair is a race in some feasible schedule of the recorded execution.
+/// never sees. Each access is checked against a bounded per-location
+/// state - the last write and the last read on each chain - *before* the
+/// engine applies the access's own update (SHB's check-then-update
+/// discipline), so under the SHB order every reported pair is a race in
+/// some feasible schedule of the recorded execution.
 ///
 /// Findings are deduplicated per (location, operation pair) and labeled:
 /// a pair the observed run also reported is Observed; everything else is
@@ -53,7 +54,8 @@ struct PredictionResult {
   EngineKind Engine = EngineKind::Shb;
   /// Deduplicated races in trace order (first flagged occurrence wins).
   std::vector<PredictedRace> Races;
-  /// Conflicting cross-operation pairs the pass posed to the engine.
+  /// Ordering probes the pass posed to the engine: one per conflicting
+  /// entry of the bounded state from another operation.
   uint64_t PairsChecked = 0;
   /// HB edges the engine's order dropped (WCP weakening; 0 otherwise).
   uint64_t DroppedEdges = 0;

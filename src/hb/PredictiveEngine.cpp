@@ -79,12 +79,19 @@ void PredictiveEngine::onMemoryAccess(const Access &A) {
     // Write-read edge: the reader observes the last writer's value, so
     // in every schedule this order admits, that write stays before this
     // read - join the last-write clock.
-    auto It = LastWriteClock.find(A.Loc);
-    if (It != LastWriteClock.end())
-      joinInto(C.Clock, It->second);
+    if (A.Loc < LastWriteClock.size())
+      joinInto(C.Clock, LastWriteClock[A.Loc]);
     return;
   }
+  if (A.Loc >= LastWriteClock.size())
+    LastWriteClock.resize(static_cast<size_t>(A.Loc) + 1);
   LastWriteClock[A.Loc] = C.Clock;
+}
+
+uint32_t PredictiveEngine::chainOf(OpId Op) const {
+  assert(Op != InvalidOpId && "chainOf() requires a valid operation");
+  finalizeThrough(Op);
+  return Clocks[Op - 1].Chain;
 }
 
 Ordering PredictiveEngine::ordering(OpId A, OpId B) const {
@@ -131,6 +138,7 @@ bool WcpEngine::conflicting(OpId A, OpId B) const {
 void WcpEngine::onOperationCreated(OpId Op, const Operation &Meta) {
   PredictiveEngine::onOperationCreated(Op, Meta);
   IntervalCb.push_back(Meta.Kind == OperationKind::IntervalCallback);
+  IntervalCreator.push_back(InvalidOpId);
 }
 
 void WcpEngine::onHbEdge(OpId From, OpId To, HbRule Rule) {
@@ -140,13 +148,9 @@ void WcpEngine::onHbEdge(OpId From, OpId To, HbRule Rule) {
   }
   // Carry the registration op down the rule-17 chain: caller -> cb_0
   // names it directly, cb_i -> cb_{i+1} inherits cb_i's.
-  OpId Creator = From;
-  if (isIntervalCb(From)) {
-    auto It = IntervalCreator.find(From);
-    Creator = It != IntervalCreator.end() ? It->second : InvalidOpId;
-  }
+  OpId Creator = isIntervalCb(From) ? IntervalCreator[From - 1] : From;
   if (Creator != InvalidOpId)
-    IntervalCreator[To] = Creator;
+    IntervalCreator[To - 1] = Creator;
   uint64_t Before = droppedEdges();
   PredictiveEngine::onHbEdge(From, To, Rule);
   // A dropped chain edge models reordering the two callbacks, not

@@ -70,6 +70,10 @@ public:
   /// Chains the incremental index uses so far.
   size_t numChains() const { return ChainTails.size(); }
 
+  /// The chain \p Op is packed into (finalized lazily, like ordering()).
+  /// Operations on one chain are totally ordered.
+  uint32_t chainOf(OpId Op) const;
+
   /// HB edges this engine's order dropped (WCP's weakening; 0 for SHB).
   uint64_t droppedEdges() const { return DroppedEdges; }
 
@@ -104,7 +108,9 @@ private:
   mutable std::vector<OpClock> Clocks;       ///< Indexed Op - 1.
   std::vector<std::vector<OpId>> Preds;      ///< Kept in-edges, edge order.
   mutable std::vector<OpId> ChainTails;
-  std::unordered_map<LocId, std::vector<uint32_t>> LastWriteClock;
+  /// Indexed by LocId, grown on demand; empty = no write yet (a
+  /// finalized clock always holds its own chain's slot).
+  std::vector<std::vector<uint32_t>> LastWriteClock;
   mutable OpId Finalized = 0; ///< Clocks built for all ops <= Finalized.
   uint64_t DroppedEdges = 0;
 };
@@ -140,9 +146,10 @@ private:
   /// Which operations are interval callbacks (rule 17's cb_i): only the
   /// cb_i -> cb_{i+1} chain edges are droppable, never caller -> cb_0.
   std::vector<uint8_t> IntervalCb;
-  /// Registration operation of each interval callback, carried down the
-  /// rule-17 chain; substituted when a chain edge is dropped.
-  std::unordered_map<OpId, OpId> IntervalCreator;
+  /// Registration operation of each interval callback (indexed Op - 1,
+  /// InvalidOpId = none), carried down the rule-17 chain; substituted
+  /// when a chain edge is dropped.
+  std::vector<OpId> IntervalCreator;
 };
 
 } // namespace wr
